@@ -1,36 +1,23 @@
-"""Hot numeric kernels with selectable backends.
+"""Hot numeric kernels, vectorized over numpy arrays.
 
-The inner loops that dominate runtime (per-bin response probabilities and
-trial-averaged noisy measurements) exist twice: a numba ``@njit`` version and
-a pure-numpy version. The active backend is chosen by the environment
-variable ``QQUENCH_BACKEND`` (``numba`` or ``numpy``; default numba when
-importable) and can be switched at runtime with :func:`set_backend`.
-
-Within one backend results are bit-deterministic. Across backends they agree
-to ~1e-12 relative: the integer noise streams are identical, but float
-reductions and libm-vs-SIMD transcendentals differ in the last ulp.
+The inner loops that dominate runtime: per-bin response probabilities and
+trial-averaged noisy measurements. Noise comes from the counter-keyed
+streams in :mod:`rng`, so the output bits depend only on the inputs, never
+on call order.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 from . import rng
 
-_ENV_VAR = "QQUENCH_BACKEND"
-
-# Fixed trial block size for the numpy path; constant so the pairwise
-# summation order (and therefore the output bits) never depends on memory.
+# Fixed trial block size; constant so the pairwise summation order (and
+# therefore the output bits) never depends on memory.
 _TRIAL_CHUNK = 4096
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _np_true_probabilities(psi, overlaps, thetas):
+def true_probabilities(psi, overlaps, thetas):
     """Noiseless baseline and quenched projection probabilities.
 
     Returns ``(p0, pr)`` with ``pr[n, d]`` the probability after quenching
@@ -42,190 +29,30 @@ def _np_true_probabilities(psi, overlaps, thetas):
     return float(abs(a0) ** 2), np.abs(amp) ** 2
 
 
-def _np_noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
-    """Trial-averaged noisy reads of every (bin, depth) probability."""
-    n, d = pr_true.shape
-    acc = np.zeros((n, d))
+def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
+    """Trial-averaged noisy reads of every (bin, depth) probability.
+
+    Read ``t`` of cell ``[n, d]`` adds ``sigma_abs`` times the normal at
+    counter ``t`` of stream ``keys[n, d]`` and clamps at zero.
+    """
+    if sigma_abs == 0.0:
+        # zero noise: trial averaging would only add rounding error
+        return np.array(pr_true, dtype=np.float64, copy=True)
+    acc = np.zeros(pr_true.shape)
     base = pr_true[:, :, None]
     key_block = keys[:, :, None]
     for start in range(0, trials, _TRIAL_CHUNK):
         ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
-        z = _np_normals_keys(key_block, ctrs[None, None, :])
-        draws = base + sigma_abs * z
+        draws = base + sigma_abs * rng.normals(key_block, ctrs)
         np.maximum(draws, 0.0, out=draws)
         acc += draws.sum(axis=2)
     return acc / trials
 
 
-def _np_noisy_mean_scalar(value, sigma_abs, trials, key):
-    acc = 0.0
-    for start in range(0, trials, _TRIAL_CHUNK):
-        ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
-        draws = value + sigma_abs * rng.normals(key, ctrs)
-        np.maximum(draws, 0.0, out=draws)
-        acc += draws.sum()
-    return acc / trials
-
-
-def _np_normals_keys(keys, counters):
-    """Like rng.normals but with a broadcast array of keys."""
-    a = rng._mix64_np(keys ^ rng._mix64_np(counters ^ np.uint64(rng.CTR_SALT)))
-    b = rng._mix64_np(a ^ np.uint64(rng.PAIR_SALT))
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-    u2 = ((b >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-_BACKENDS = {
-    "numpy": {
-        "true_probabilities": _np_true_probabilities,
-        "noisy_mean_matrix": _np_noisy_mean_matrix,
-        "noisy_mean_scalar": _np_noisy_mean_scalar,
-    }
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _U = np.uint64
-
-    @njit(cache=True)
-    def _nb_mix64(z):
-        z = z + _U(rng.GOLD)
-        z = (z ^ (z >> _U(30))) * _U(rng.MIX1)
-        z = (z ^ (z >> _U(27))) * _U(rng.MIX2)
-        return z ^ (z >> _U(31))
-
-    @njit(cache=True)
-    def _nb_normal(key, counter):
-        a = _nb_mix64(key ^ _nb_mix64(counter ^ _U(rng.CTR_SALT)))
-        b = _nb_mix64(a ^ _U(rng.PAIR_SALT))
-        u1 = (np.float64(a >> _U(11)) + 0.5) * (2.0 ** -53)
-        u2 = (np.float64(b >> _U(11)) + 0.5) * (2.0 ** -53)
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    @njit(cache=True)
-    def _nb_true_probabilities(psi, overlaps, thetas):
-        n = psi.shape[0]
-        d = thetas.shape[0]
-        a0 = 0.0 + 0.0j
-        for u in range(n):
-            a0 += overlaps[u] * psi[u]
-        pr = np.empty((n, d))
-        for j in range(d):
-            shift = complex(math.cos(thetas[j]) - 1.0, math.sin(thetas[j]))
-            for u in range(n):
-                amp = a0 + shift * overlaps[u] * psi[u]
-                pr[u, j] = amp.real * amp.real + amp.imag * amp.imag
-        return abs(a0) ** 2, pr
-
-    @njit(cache=True)
-    def _nb_noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
-        n, d = pr_true.shape
-        out = np.empty((n, d))
-        for i in range(n):
-            for j in range(d):
-                key = keys[i, j]
-                acc = 0.0
-                for t in range(trials):
-                    v = pr_true[i, j] + sigma_abs * _nb_normal(key, _U(t))
-                    if v < 0.0:
-                        v = 0.0
-                    acc += v
-                out[i, j] = acc / trials
-        return out
-
-    @njit(cache=True)
-    def _nb_noisy_mean_scalar(value, sigma_abs, trials, key):
-        acc = 0.0
-        for t in range(trials):
-            v = value + sigma_abs * _nb_normal(key, _U(t))
-            if v < 0.0:
-                v = 0.0
-            acc += v
-        return acc / trials
-
-    def _nb_true_probabilities_wrap(psi, overlaps, thetas):
-        p0, pr = _nb_true_probabilities(
-            np.ascontiguousarray(psi, dtype=np.complex128),
-            np.ascontiguousarray(overlaps, dtype=np.complex128),
-            np.ascontiguousarray(thetas, dtype=np.float64),
-        )
-        return float(p0), pr
-
-    def _nb_noisy_mean_matrix_wrap(pr_true, sigma_abs, trials, keys):
-        return _nb_noisy_mean_matrix(
-            np.ascontiguousarray(pr_true, dtype=np.float64),
-            float(sigma_abs),
-            int(trials),
-            np.ascontiguousarray(keys, dtype=np.uint64),
-        )
-
-    def _nb_noisy_mean_scalar_wrap(value, sigma_abs, trials, key):
-        return float(
-            _nb_noisy_mean_scalar(float(value), float(sigma_abs), int(trials), np.uint64(key))
-        )
-
-    _BACKENDS["numba"] = {
-        "true_probabilities": _nb_true_probabilities_wrap,
-        "noisy_mean_matrix": _nb_noisy_mean_matrix_wrap,
-        "noisy_mean_scalar": _nb_noisy_mean_scalar_wrap,
-    }
-
-
-# ---------------------------------------------------------------------------
-# selection
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def _default_backend():
-    name = os.environ.get(_ENV_VAR, "").strip().lower()
-    if name:
-        if name not in _BACKENDS:
-            raise ValueError(
-                f"{_ENV_VAR}={name!r} is not available; choose from {available_backends()}"
-            )
-        return name
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_current = _default_backend()
-
-
-def get_backend() -> str:
-    return _current
-
-
-def set_backend(name: str) -> None:
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    global _current
-    _current = name
-
-
-def true_probabilities(psi, overlaps, thetas):
-    return _BACKENDS[_current]["true_probabilities"](psi, overlaps, thetas)
-
-
-def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
-    if sigma_abs == 0.0:
-        # zero noise: trial averaging would only add rounding error
-        return np.array(pr_true, dtype=np.float64, copy=True)
-    return _BACKENDS[_current]["noisy_mean_matrix"](pr_true, sigma_abs, trials, keys)
-
-
 def noisy_mean_scalar(value, sigma_abs, trials, key):
+    """:func:`noisy_mean_matrix` of one probability on one stream key."""
     if sigma_abs == 0.0:
         return float(value)
-    return _BACKENDS[_current]["noisy_mean_scalar"](value, sigma_abs, trials, key)
+    cell = np.array([[value]], dtype=np.float64)
+    keys = np.array([[key]], dtype=np.uint64)
+    return float(noisy_mean_matrix(cell, sigma_abs, trials, keys)[0, 0])

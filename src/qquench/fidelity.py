@@ -207,11 +207,10 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
             fp[d, s] = scores.f_p
             fa[d, s] = scores.f_a
 
+    # Each column of a noiseless scan depends only on its own depth, so one
+    # all-depth scan gives the same map as one scan per depth.
     quiet = NoiseModel(relative_sigma=0.0, seed=noise.seed, trials=1)
-    magnitudes = np.empty((state.grid.size, n_depths))
-    for d, theta in enumerate(depth_arr):
-        rmap = scan(state, selector, (float(theta),), quiet)
-        magnitudes[:, d] = np.abs(rmap.response_matrix()[:, 0])
+    magnitudes = np.abs(scan(state, selector, depth_arr, quiet).response_matrix())
 
     if noise.noiseless:
         zeros = np.zeros(n_depths)

@@ -50,13 +50,20 @@ def fmt_float(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to ``path`` via a temp file plus rename."""
+    """Write text to ``path`` via a temp file plus rename.
+
+    The file gets the mode ``open()`` would give a new file (0666 less the
+    umask), not the 0600 that ``mkstemp`` creates the temp file with.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qquench-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read the umask is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
             raise ValueError(f"relative_sigma must be >= 0, got {self.relative_sigma}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 

@@ -5,11 +5,12 @@ SplitMix64-style bit mixer evaluated at explicit (key, counter) positions.
 A draw depends only on (seed, bin, depth, trial), never on call order, which
 makes scans reproducible and trivially parallelizable.
 
-The same integer pipeline is implemented three times: here in pure Python
-(masked ints), vectorized over numpy uint64 arrays, and inside the numba
-kernels (see _kernels). The integer outputs are bit-identical across all
-three; the float normals agree to the last ulp or so because numpy's
-vectorized log/cos may differ from libm by one rounding.
+Key blocks (``key_matrix``) and all draws (``normals``) run on one
+vectorized mixer over numpy uint64 arrays. The pure-Python ``mix64`` derives
+single keys (``derive_key``, ``stream_key``) and, with ``normal``, is the
+reference the tests hold the vectorized path to: the integer outputs are
+bit-identical, and the float normals agree to the last ulp or so because
+numpy's vectorized log/cos may differ from libm by one rounding.
 """
 
 from __future__ import annotations
@@ -72,12 +73,16 @@ def stream_key(seed: int, bin_index: int, theta: float) -> int:
 
 
 def key_matrix(seed: int, n_bins: int, thetas) -> np.ndarray:
-    """uint64 array of stream keys, shape (n_bins, len(thetas))."""
-    keys = np.empty((n_bins, len(thetas)), dtype=np.uint64)
-    for n in range(n_bins):
-        for d, theta in enumerate(thetas):
-            keys[n, d] = stream_key(seed, n, float(theta))
-    return keys
+    """uint64 array of stream keys, shape (n_bins, len(thetas)).
+
+    Entry ``[n, d]`` equals ``stream_key(seed, n, thetas[d])``.
+    """
+    # A one-element array, not a numpy scalar: scalar uint64 arithmetic
+    # warns on the wrap-around the mixer relies on.
+    k = _mix64_np(np.array([seed & MASK64], dtype=np.uint64))
+    k = _mix64_np(k ^ np.arange(1, n_bins + 1, dtype=np.uint64))
+    tags = np.asarray(thetas, dtype=np.float64).view(np.uint64)
+    return _mix64_np(k[:, None] ^ tags[None, :])
 
 
 def normal(key: int, counter: int) -> float:
@@ -96,10 +101,15 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def normals(key: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized standard normals at the given uint64 counter positions."""
+def normals(key, counters) -> np.ndarray:
+    """Vectorized standard normals at (key, counter) stream positions.
+
+    ``key`` is one stream key or an array of them; it broadcasts against
+    ``counters`` like any pair of numpy operands.
+    """
+    key = np.asarray(key, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    a = _mix64_np(np.uint64(key) ^ _mix64_np(counters ^ np.uint64(CTR_SALT)))
+    a = _mix64_np(key ^ _mix64_np(counters ^ np.uint64(CTR_SALT)))
     b = _mix64_np(a ^ np.uint64(PAIR_SALT))
     u1 = ((a >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
     u2 = ((b >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53

@@ -106,6 +106,15 @@ def test_scan_uniform_default_depths(tmp_path):
     assert np.allclose(rmap.response_matrix(), 0.375, atol=1e-12)
 
 
+def test_scan_negative_pi_fraction_theta(tmp_path):
+    # the form the README documents; a bare "--theta -3pi/8" reads as a flag
+    wave = uniform_wave(tmp_path)
+    out = tmp_path / "map.csv"
+    assert run("scan", "--input", str(wave), "--sigma", "0",
+               "--theta=-3pi/8", "--theta", "3pi/8", "--out", str(out)) == 0
+    assert load_response_map(out).depths == (-3 * math.pi / 8, 3 * math.pi / 8)
+
+
 def test_scan_noiseless_is_seed_independent(tmp_path):
     wave = uniform_wave(tmp_path)
     a = tmp_path / "a.csv"

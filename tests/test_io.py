@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(target, "replaced\n")
     assert target.read_text() == "replaced\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_atomic_write_mode_matches_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "atomic.txt", "x\n")
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(previous)
+    atomic_mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
+    assert atomic_mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+    assert atomic_mode == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

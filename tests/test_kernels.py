@@ -2,24 +2,8 @@ import numpy as np
 import pytest
 
 from qquench import _kernels, rng
-from qquench._kernels import (
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from support import oracle_probabilities, random_state
 from qquench import BasisGrid, uniform_post_selector
-
-HAVE_NUMBA = "numba" in available_backends()
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-
-
-@pytest.fixture
-def restore_backend():
-    before = get_backend()
-    yield
-    set_backend(before)
 
 
 def _sample_problem(seed, n=6, depths=(0.3, np.pi / 2, -np.pi / 2, 2.5)):
@@ -30,22 +14,7 @@ def _sample_problem(seed, n=6, depths=(0.3, np.pi / 2, -np.pi / 2, 2.5)):
     return state.amplitudes, sel.overlaps, np.asarray(depths)
 
 
-def test_available_backends_always_has_numpy():
-    assert "numpy" in available_backends()
-
-
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-
-
-def test_set_backend_round_trip(restore_backend):
-    set_backend("numpy")
-    assert get_backend() == "numpy"
-
-
-def test_true_probabilities_match_oracle(restore_backend):
-    set_backend("numpy")
+def test_true_probabilities_match_oracle():
     for seed in range(10):
         psi, overlaps, thetas = _sample_problem(seed)
         p0, pr = _kernels.true_probabilities(psi, overlaps, thetas)
@@ -54,43 +23,7 @@ def test_true_probabilities_match_oracle(restore_backend):
         assert np.allclose(pr, o_pr, rtol=0, atol=1e-14)
 
 
-@needs_numba
-def test_backends_agree_on_true_probabilities(restore_backend):
-    for seed in range(10):
-        psi, overlaps, thetas = _sample_problem(seed, n=20)
-        set_backend("numpy")
-        p0_np, pr_np = _kernels.true_probabilities(psi, overlaps, thetas)
-        set_backend("numba")
-        p0_nb, pr_nb = _kernels.true_probabilities(psi, overlaps, thetas)
-        assert p0_np == pytest.approx(p0_nb, rel=1e-12, abs=1e-15)
-        assert np.allclose(pr_np, pr_nb, rtol=1e-12, atol=1e-15)
-
-
-@needs_numba
-def test_backends_agree_on_noisy_means(restore_backend):
-    psi, overlaps, thetas = _sample_problem(3, n=8)
-    set_backend("numpy")
-    _, pr = _kernels.true_probabilities(psi, overlaps, thetas)
-    keys = rng.key_matrix(99, 8, thetas)
-    results = {}
-    for backend in ("numpy", "numba"):
-        set_backend(backend)
-        results[backend] = _kernels.noisy_mean_matrix(pr, 0.01, 37, keys)
-    assert np.allclose(results["numpy"], results["numba"],
-                       rtol=1e-12, atol=1e-15)
-
-
-@needs_numba
-def test_backends_agree_on_scalar_mean(restore_backend):
-    vals = {}
-    for backend in ("numpy", "numba"):
-        set_backend(backend)
-        vals[backend] = _kernels.noisy_mean_scalar(0.4, 0.01, 101, rng.stream_key(5, -1, 0.5))
-    assert vals["numpy"] == pytest.approx(vals["numba"], rel=1e-12)
-
-
-def test_zero_sigma_mean_is_exact(restore_backend):
-    set_backend("numpy")
+def test_zero_sigma_mean_is_exact():
     psi, overlaps, thetas = _sample_problem(4)
     _, pr = _kernels.true_probabilities(psi, overlaps, thetas)
     keys = rng.key_matrix(1, psi.size, thetas)
@@ -98,8 +31,7 @@ def test_zero_sigma_mean_is_exact(restore_backend):
     assert np.array_equal(out, pr)
 
 
-def test_trial_average_converges(restore_backend):
-    set_backend("numpy")
+def test_trial_average_converges():
     true = 0.3
     sigma = 0.05
     trials = 20_000
@@ -108,16 +40,14 @@ def test_trial_average_converges(restore_backend):
     assert abs(got - true) < 5 * se
 
 
-def test_clamping_biases_tiny_probabilities_up(restore_backend):
-    set_backend("numpy")
+def test_clamping_biases_tiny_probabilities_up():
     # true probability far below sigma: negatives clamp to 0, so the
     # average must sit above the true value
     got = _kernels.noisy_mean_scalar(1e-6, 0.05, 50_000, rng.stream_key(9, -1, 1.0))
     assert got > 1e-6
 
 
-def test_mean_matrix_depends_on_keys(restore_backend):
-    set_backend("numpy")
+def test_mean_matrix_depends_on_keys():
     psi, overlaps, thetas = _sample_problem(6)
     _, pr = _kernels.true_probabilities(psi, overlaps, thetas)
     a = _kernels.noisy_mean_matrix(pr, 0.01, 3, rng.key_matrix(1, psi.size, thetas))
@@ -125,3 +55,18 @@ def test_mean_matrix_depends_on_keys(restore_backend):
     assert not np.allclose(a, b)
     a2 = _kernels.noisy_mean_matrix(pr, 0.01, 3, rng.key_matrix(1, psi.size, thetas))
     assert np.array_equal(a, a2)
+
+
+def test_noisy_means_match_pure_python_oracle():
+    psi, overlaps, thetas = _sample_problem(7, n=3)
+    _, pr = _kernels.true_probabilities(psi, overlaps, thetas)
+    keys = rng.key_matrix(11, psi.size, thetas)
+    trials, sigma = 9, 0.05
+    oracle = np.array([[
+        sum(max(pr[n, d] + sigma * rng.normal(int(keys[n, d]), t), 0.0)
+            for t in range(trials)) / trials
+        for d in range(thetas.size)] for n in range(psi.size)])
+    got = _kernels.noisy_mean_matrix(pr, sigma, trials, keys)
+    assert np.allclose(got, oracle, rtol=0, atol=1e-15)
+    scalar = _kernels.noisy_mean_scalar(pr[1, 2], sigma, trials, int(keys[1, 2]))
+    assert scalar == pytest.approx(oracle[1, 2], rel=0, abs=1e-15)

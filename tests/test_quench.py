@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qquench import (
     BasisGrid,
@@ -10,6 +12,7 @@ from qquench import (
     ResponseMap,
     ResponseRecord,
     apply_quench,
+    builtin_waveform,
     dft_post_selector,
     make_state,
     measure_with_noise,
@@ -167,6 +170,17 @@ def test_noise_model_validation():
     assert not NoiseModel(relative_sigma=0.002).noiseless
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, True])
+def test_noise_model_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError):
+        NoiseModel(relative_sigma=0.1, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [3, np.int64(3), np.uint8(3)])
+def test_noise_model_accepts_integer_trials(trials):
+    assert NoiseModel(relative_sigma=0.1, trials=trials).trials == 3
+
+
 def test_measure_with_noise_noiseless_passthrough():
     assert measure_with_noise(0.37, QUIET) == 0.37
 
@@ -271,3 +285,23 @@ def test_response_matrix_shape_and_content():
     assert np.allclose(mat[:, 0], 0.375, atol=1e-14)
     assert np.allclose(mat[:, 1], 0.75, atol=1e-14)
     assert np.allclose(rmap.baseline_p0, 1.0, atol=1e-14)
+
+
+_depth = st.floats(-2 * np.pi, 2 * np.pi).filter(lambda t: t != 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=_depth, b=_depth, n=st.integers(2, 12),
+       seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 5))
+def test_noisy_scan_columns_follow_their_depths(a, b, n, seed, trials):
+    # draws are keyed by depth value, not position: reordering the depth
+    # list permutes the measured columns and changes no bit
+    grid = BasisGrid(size=n)
+    state = builtin_waveform("gaussian_linear_chirp", grid)
+    sel = uniform_post_selector(grid)
+    noise = NoiseModel(relative_sigma=0.002, seed=seed, trials=trials)
+    ab = scan(state, sel, (a, b), noise)
+    ba = scan(state, sel, (b, a), noise)
+    assert ab.baseline_p0 == ba.baseline_p0
+    assert np.array_equal(ab.measured_matrix(), ba.measured_matrix()[:, ::-1])
+    assert np.array_equal(ab.response_matrix(), ba.response_matrix()[:, ::-1])

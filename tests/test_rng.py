@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qquench import rng
 
@@ -41,6 +43,32 @@ def test_stream_key_matches_key_matrix():
     for n in range(4):
         for d, theta in enumerate(thetas):
             assert int(keys[n, d]) == rng.stream_key(321, n, theta)
+
+
+_u64 = st.integers(0, 2**64 - 1)
+
+
+@settings(deadline=None)
+@given(seed=_u64, n_bins=st.integers(0, 64),
+       thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example(seed=2**64 - 1, n_bins=3, thetas=[-0.0, 0.0, np.pi, -np.pi, -1e-4])
+def test_key_matrix_equals_stream_key_oracle(seed, n_bins, thetas):
+    keys = rng.key_matrix(seed, n_bins, thetas)
+    oracle = np.array([[rng.stream_key(seed, n, t) for t in thetas]
+                       for n in range(n_bins)], dtype=np.uint64)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, oracle.reshape(n_bins, len(thetas)))
+
+
+@settings(deadline=None)
+@given(keys=st.lists(_u64, min_size=1, max_size=6),
+       counters=st.lists(_u64, min_size=1, max_size=40))
+def test_normals_broadcast_keys_match_one_call_per_key(keys, counters):
+    counters = np.array(counters, dtype=np.uint64)
+    block = rng.normals(np.array(keys, dtype=np.uint64)[:, None], counters)
+    rows = np.array([rng.normals(k, counters) for k in keys])
+    assert block.shape == (len(keys), counters.size)
+    assert np.array_equal(block, rows)
 
 
 def test_baseline_stream_is_distinct_from_bins():
