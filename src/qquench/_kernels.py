@@ -12,9 +12,13 @@ import numpy as np
 
 from . import rng
 
-# Fixed trial block size; constant so the pairwise summation order (and
-# therefore the output bits) never depends on memory.
+# Trials are summed in chunks of _TRIAL_CHUNK and each chunk over blocks of
+# about _BLOCK_DRAWS draws (256 KB of float64 per temporary), so the working
+# set stays fixed whatever (N, depths, trials) is. Both are constants: a cell
+# sums the same contiguous trial chunk pairwise and adds its chunks in the
+# same order for any block size, so the output bits never depend on memory.
 _TRIAL_CHUNK = 4096
+_BLOCK_DRAWS = 2**15
 
 
 def true_probabilities(psi, overlaps, thetas):
@@ -38,15 +42,18 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
     if sigma_abs == 0.0:
         # zero noise: trial averaging would only add rounding error
         return np.array(pr_true, dtype=np.float64, copy=True)
-    acc = np.zeros(pr_true.shape)
-    base = pr_true[:, :, None]
-    key_block = keys[:, :, None]
+    base = pr_true.reshape(-1, 1)
+    key_col = keys.reshape(-1, 1)
+    acc = np.zeros(base.shape[0])
     for start in range(0, trials, _TRIAL_CHUNK):
         ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
-        draws = base + sigma_abs * rng.normals(key_block, ctrs)
-        np.maximum(draws, 0.0, out=draws)
-        acc += draws.sum(axis=2)
-    return acc / trials
+        rows = max(1, _BLOCK_DRAWS // ctrs.size)
+        for lo in range(0, acc.size, rows):
+            cells = slice(lo, lo + rows)
+            draws = base[cells] + sigma_abs * rng.normals(key_col[cells], ctrs)
+            np.maximum(draws, 0.0, out=draws)
+            acc[cells] += draws.sum(axis=1)
+    return (acc / trials).reshape(pr_true.shape)
 
 
 def noisy_mean_scalar(value, sigma_abs, trials, key):

@@ -12,6 +12,7 @@ noise floor are excluded from those two sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,8 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
         raise ValueError("depths must be finite")
     if np.any(depth_arr <= 0) or np.any(1.0 - np.cos(depth_arr) < 1e-9):
         raise ValueError("each depth must be positive and away from 0 mod 2pi")
+    if isinstance(n_seeds, bool) or not isinstance(n_seeds, numbers.Integral):
+        raise ValueError(f"n_seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if not noise.noiseless and n_seeds < 2:

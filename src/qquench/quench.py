@@ -55,8 +55,13 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
             raise ValueError(f"relative_sigma must be >= 0, got {self.relative_sigma}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # The stream mixer masks the seed to 64 bits with Python ints; a
+        # numpy signed scalar would overflow there, so store it as an int.
+        object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -204,11 +209,13 @@ def scan(
             f"(selector {selector.label!r})"
         )
 
-    records = []
-    for n in range(state.grid.size):
-        entries = tuple(
-            (depths[d], float(pr_meas[n, d]), 1.0 - float(pr_meas[n, d]) / p0_meas)
-            for d in range(len(depths))
+    p0 = float(p0_meas)
+    records = tuple(
+        ResponseRecord(
+            bin=n,
+            baseline_p0=p0,
+            entries=tuple((theta, pr, 1.0 - pr / p0) for theta, pr in zip(depths, row)),
         )
-        records.append(ResponseRecord(bin=n, baseline_p0=float(p0_meas), entries=entries))
-    return ResponseMap(grid=state.grid, depths=depths, records=tuple(records))
+        for n, row in enumerate(pr_meas.tolist())
+    )
+    return ResponseMap(grid=state.grid, depths=depths, records=records)

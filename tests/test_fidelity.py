@@ -189,5 +189,9 @@ def test_depth_sweep_validates_arguments():
         depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=1)
     with pytest.raises(ValueError):
         depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=0)
+    for n_seeds in (2.5, True):
+        with pytest.raises(ValueError):
+            depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=n_seeds)
+    depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=np.int64(2))
     # noiseless runs may use a single seed
     depth_sweep(state, sel, (np.pi / 2,), QUIET, n_seeds=1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -70,3 +75,64 @@ def test_noisy_means_match_pure_python_oracle():
     assert np.allclose(got, oracle, rtol=0, atol=1e-15)
     scalar = _kernels.noisy_mean_scalar(pr[1, 2], sigma, trials, int(keys[1, 2]))
     assert scalar == pytest.approx(oracle[1, 2], rel=0, abs=1e-15)
+
+
+def _unblocked_mean(pr, sigma, trials, keys):
+    """The kernel's formula without cell blocks: whole (N, D, chunk) arrays."""
+    acc = np.zeros(pr.shape)
+    for start in range(0, trials, _kernels._TRIAL_CHUNK):
+        ctrs = np.arange(start, min(start + _kernels._TRIAL_CHUNK, trials),
+                         dtype=np.uint64)
+        draws = pr[:, :, None] + sigma * rng.normals(keys[:, :, None], ctrs)
+        np.maximum(draws, 0.0, out=draws)
+        acc += draws.sum(axis=2)
+    return acc / trials
+
+
+@pytest.mark.parametrize("trials", [1, 1000, 4096, 4097])
+@pytest.mark.parametrize("cells", ["1", "rows-1", "rows", "rows+1", "4000"])
+def test_blocked_mean_matrix_is_bit_identical(cells, trials):
+    chunk = min(trials, _kernels._TRIAL_CHUNK)
+    rows = max(1, _kernels._BLOCK_DRAWS // chunk)
+    n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+         "4000": 4000}[cells]
+    # two depth columns whenever the cell count is even, so blocks also
+    # cut across the rows of the (N, D) layout
+    shape = (n // 2, 2) if n % 2 == 0 else (n, 1)
+    pr = np.random.default_rng(n + trials).random(shape)
+    keys = rng.key_matrix(n, shape[0], np.linspace(0.3, 2.8, shape[1]))
+    got = _kernels.noisy_mean_matrix(pr, 0.2, trials, keys)
+    # The reference goes over bin slices of at most 2**22 draws (32 MB per
+    # temporary); only the 4000-cell cases at >= 4096 trials need several.
+    step = max(1, 2**22 // (shape[1] * chunk))
+    want = np.concatenate([
+        _unblocked_mean(pr[lo:lo + step], 0.2, trials, keys[lo:lo + step])
+        for lo in range(0, shape[0], step)])
+    assert np.array_equal(got, want)
+
+
+def test_mean_matrix_peak_rss_stays_bounded():
+    # 200 bins x 16 depths x 1000 trials: (N, D, trials) temporaries would
+    # take ~170 MB; cell blocks keep the growth at a few MB.
+    child = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from qquench import _kernels, rng
+        pr = np.full((200, 16), 0.3)
+        keys = rng.key_matrix(5, 200, np.linspace(0.1, 3.0, 16))
+        _kernels.noisy_mean_matrix(pr[:1, :1], 0.01, 2, keys[:1, :1])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        _kernels.noisy_mean_matrix(pr, 0.01, 1000, keys)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * 1024)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    # A spawned process starts from the peak RSS of its spawner, which here
+    # may be hundreds of MB; a small relay in between gives a low start.
+    relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run([sys.executable, "-c", relay, sys.executable, "-c", child],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout)
+    assert growth < 32 * 2**20, f"peak RSS grew by {growth / 2**20:.1f} MB"

@@ -181,6 +181,23 @@ def test_noise_model_accepts_integer_trials(trials):
     assert NoiseModel(relative_sigma=0.1, trials=trials).trials == 3
 
 
+@pytest.mark.parametrize("seed", [2.5, "7", True])
+def test_noise_model_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError):
+        NoiseModel(relative_sigma=0.1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), np.uint64(7)])
+def test_noise_model_accepts_numpy_integer_seed(seed):
+    state, sel = uniform_state(4)
+    noise = NoiseModel(relative_sigma=0.01, seed=seed, trials=3)
+    assert noise.seed == 7
+    got = scan(state, sel, (np.pi / 2,), noise).measured_matrix()
+    want = scan(state, sel, (np.pi / 2,),
+                NoiseModel(relative_sigma=0.01, seed=7, trials=3)).measured_matrix()
+    assert np.array_equal(got, want)
+
+
 def test_measure_with_noise_noiseless_passthrough():
     assert measure_with_noise(0.37, QUIET) == 0.37
 
