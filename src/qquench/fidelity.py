@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .quench import NoiseModel, scan
+from .quench import NoiseModel, measure_seeds, scan
 from .reconstruct import (
     NODE_TOL,
+    invert_pair,
     phase_envelope,
-    reconstruct_wavefunction,
+    reconstruct_inverted,
 )
 from .states import BasisGrid, PostSelector, WavefunctionState
 
@@ -80,7 +81,13 @@ def fidelity_overall(psi_rec, psi_in) -> float:
     return float(abs(np.vdot(a, b)) / (na * nb))
 
 
-def _envelope_correlation(x: np.ndarray, y: np.ndarray, degenerate_by_cosine: bool) -> float:
+def _envelope_correlation(rec, ref, degenerate_by_cosine: bool) -> float:
+    x = np.asarray(rec, dtype=np.float64)
+    y = np.asarray(ref, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        return 1.0
     sx = float(np.sum(x * x))
     sy = float(np.sum(y * y))
     if sx == 0.0 or sy == 0.0:
@@ -100,24 +107,12 @@ def fidelity_phase(phase_rec, phase_in) -> float:
     the mean cosine of the pointwise phase difference is reported instead,
     so two flat-phase envelopes score 1.
     """
-    x = np.asarray(phase_rec, dtype=np.float64)
-    y = np.asarray(phase_in, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return 1.0
-    return _envelope_correlation(x, y, degenerate_by_cosine=True)
+    return _envelope_correlation(phase_rec, phase_in, degenerate_by_cosine=True)
 
 
 def fidelity_amplitude(amp_rec, amp_in) -> float:
     """Normalized correlation of two amplitude envelopes."""
-    x = np.asarray(amp_rec, dtype=np.float64)
-    y = np.asarray(amp_in, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return 1.0
-    return _envelope_correlation(x, y, degenerate_by_cosine=False)
+    return _envelope_correlation(amp_rec, amp_in, degenerate_by_cosine=False)
 
 
 def resolution_floor(noise: NoiseModel | None) -> float:
@@ -159,21 +154,16 @@ def score_reconstruction(result, state: WavefunctionState,
                           valid_bins=valid)
 
 
-def _sweep_scores(state, selector, theta, noise):
-    rmap = scan(state, selector, (theta, -theta), noise)
-    rec = reconstruct_wavefunction(rmap)
-    return score_reconstruction(rec, state, noise)
-
-
 def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
                 noise: NoiseModel, n_seeds: int = 32) -> SweepResult:
     """Repeat the quench/reconstruct pipeline over seeds for each depth.
 
     Each (depth, seed) combination runs on an independent noise stream
     derived from the base seed, so the statistics are over genuinely
-    separate realizations. With noise enabled at least 2 seeds are required
-    for the sample standard deviation to exist; noiseless sweeps are
-    deterministic and computed once per depth with zero spread.
+    separate realizations. Reconstructions divide out the selector's
+    overlaps unless it is the uniform one. With noise enabled at least 2
+    seeds are required for the sample standard deviation to exist; noiseless
+    sweeps are deterministic and computed once per depth with zero spread.
     """
     depth_arr = np.asarray(depths, dtype=np.float64)
     if depth_arr.ndim != 1 or depth_arr.size == 0:
@@ -193,22 +183,27 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     fw = np.empty((n_depths, n_seeds))
     fp = np.empty((n_depths, n_seeds))
     fa = np.empty((n_depths, n_seeds))
+    overlaps = None if selector.label == "uniform" else selector.overlaps
 
-    for d, theta in enumerate(depth_arr):
+    for d, theta in enumerate(depth_arr.tolist()):
+        # Seed s scans with seed derive_key(seed, float_tag(theta), s). All
+        # seeds are measured and inverted as one block, then scored one by one.
         if noise.noiseless:
-            scores = _sweep_scores(state, selector, float(theta), noise)
-            fw[d, :] = scores.f_w
-            fp[d, :] = scores.f_p
-            fa[d, :] = scores.f_a
-            continue
-        for s in range(n_seeds):
-            sub_seed = rng.derive_key(noise.seed, rng.float_tag(float(theta)), s)
-            sub_noise = NoiseModel(relative_sigma=noise.relative_sigma,
-                                   seed=sub_seed, trials=noise.trials)
-            scores = _sweep_scores(state, selector, float(theta), sub_noise)
-            fw[d, s] = scores.f_w
-            fp[d, s] = scores.f_p
-            fa[d, s] = scores.f_a
+            seeds = [noise.seed]
+        else:
+            seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(n_seeds))
+        pair = (theta, -theta)
+        _, _, p = measure_seeds(state, selector, pair, noise, seeds)
+        re, im, ok = invert_pair(pair, p)
+        scores = [
+            score_reconstruction(
+                reconstruct_inverted(state.grid, re[s], im[s], ok[s], overlaps),
+                state, noise)
+            for s in range(len(seeds))
+        ]
+        fw[d] = [sc.f_w for sc in scores]
+        fp[d] = [sc.f_p for sc in scores]
+        fa[d] = [sc.f_a for sc in scores]
 
     # Each column of a noiseless scan depends only on its own depth, so one
     # all-depth scan gives the same map as one scan per depth.

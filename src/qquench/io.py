@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quench import ResponseMap, ResponseRecord
+from .quench import ResponseMap
 from .reconstruct import (
     ReconstructionResult,
     amplitude_nodes,
@@ -105,6 +105,11 @@ def _read_csv(path, header: Sequence[str]):
     return rows[1:]
 
 
+def _read_columns(path, header: Sequence[str]) -> dict:
+    rows = _read_csv(path, header)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -179,32 +184,60 @@ def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
 
 def save_response_map(path, rmap: ResponseMap, fmt: str | None = None) -> None:
     fmt = resolve_format(path, fmt)
+    pr, p = rmap.pr.tolist(), rmap.p.tolist()
     if fmt == "csv":
-        rows = []
-        for rec in rmap.records:
-            for theta, pr, p in rec.entries:
-                rows.append((str(rec.bin), fmt_float(theta),
-                             fmt_float(rec.baseline_p0), fmt_float(pr),
-                             fmt_float(p)))
+        p0 = fmt_float(rmap.p0)
+        thetas = [fmt_float(t) for t in rmap.depths]
+        rows = (
+            (str(n), theta, p0, fmt_float(pr_nd), fmt_float(p_nd))
+            for n, (pr_n, p_n) in enumerate(zip(pr, p))
+            for theta, pr_nd, p_nd in zip(thetas, pr_n, p_n)
+        )
         atomic_write_text(path, _csv_text(RESPONSE_FIELDS, rows))
         return
     payload = {
         "bin_width": rmap.grid.bin_width,
         "origin": rmap.grid.origin,
-        "depths": [float(t) for t in rmap.depths],
+        "depths": list(rmap.depths),
         "records": [
             {
-                "bin": rec.bin,
-                "P0": rec.baseline_p0,
+                "bin": n,
+                "P0": rmap.p0,
                 "entries": [
-                    {"theta": float(t), "Pr": float(pr), "p": float(p)}
-                    for t, pr, p in rec.entries
+                    {"theta": t, "Pr": pr_nd, "p": p_nd}
+                    for t, pr_nd, p_nd in zip(rmap.depths, pr_n, p_n)
                 ],
             }
-            for rec in rmap.records
+            for n, (pr_n, p_n) in enumerate(zip(pr, p))
         ],
     }
     atomic_write_text(path, _json_text(payload))
+
+
+def _response_map(path, rows, bin_width, origin) -> ResponseMap:
+    """Build a map from rows ``[bin, theta, P0, Pr, p]``, one per measurement.
+
+    Rows are grouped by bin in a stable order, so each bin keeps its own
+    depth order, which must equal every other bin's; the map holds one
+    baseline, so every row must carry the same P0.
+    """
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if rows.size == 0 or rows[0, 0] != 0:
+        raise ValueError(f"{path}: response map must cover bins 0..N-1")
+    counts = np.bincount(rows[:, 0].astype(np.int64))
+    if np.any(counts != counts[0]):
+        raise ValueError(f"{path}: response map must cover bins 0..N-1 "
+                         "with the same number of depths each")
+    block = rows.reshape(counts.size, counts[0], 5)
+    thetas, p0 = block[..., 1], block[..., 2]
+    if np.any(thetas != thetas[0]):
+        raise ValueError(f"{path}: bins of the response map differ in their depths")
+    if np.any(p0 != p0[0, 0]):
+        raise ValueError(f"{path}: bins of the response map differ in their baseline P0")
+    return ResponseMap(grid=BasisGrid(size=counts.size, bin_width=bin_width, origin=origin),
+                       depths=tuple(thetas[0].tolist()), pr=block[..., 3], p=block[..., 4],
+                       p0=p0[0, 0])
 
 
 def load_response_map(path, fmt: str | None = None,
@@ -212,47 +245,20 @@ def load_response_map(path, fmt: str | None = None,
                       origin: float = 0.0) -> ResponseMap:
     """Read a response map; CSV needs the grid supplied out of band."""
     fmt = resolve_format(path, fmt)
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        grid = BasisGrid(size=len(payload["records"]),
-                         bin_width=float(payload["bin_width"]),
-                         origin=float(payload.get("origin", 0.0)))
-        depths = tuple(float(t) for t in payload["depths"])
-        records = tuple(
-            ResponseRecord(
-                bin=int(rec["bin"]),
-                baseline_p0=float(rec["P0"]),
-                entries=tuple(
-                    (float(e["theta"]), float(e["Pr"]), float(e["p"]))
-                    for e in rec["entries"]
-                ),
-            )
-            for rec in payload["records"]
-        )
-        return ResponseMap(grid=grid, depths=depths, records=records)
+    if fmt == "csv":
+        rows = [[int(row[0]), *map(float, row[1:])]
+                for row in _read_csv(path, RESPONSE_FIELDS)]
+        return _response_map(path, rows, bin_width, origin)
 
-    rows = _read_csv(path, RESPONSE_FIELDS)
-    by_bin: dict[int, list[tuple[float, float, float]]] = {}
-    p0_by_bin: dict[int, float] = {}
-    for row in rows:
-        b = int(row[0])
-        theta, p0, pr, p = (float(v) for v in row[1:])
-        if b in p0_by_bin and p0_by_bin[b] != p0:
-            raise ValueError(f"bin {b} has inconsistent P0 values")
-        p0_by_bin[b] = p0
-        by_bin.setdefault(b, []).append((theta, pr, p))
-    bins = sorted(by_bin)
-    if bins != list(range(len(bins))):
-        raise ValueError("response map must cover bins 0..N-1 exactly once")
-    depths = tuple(t for t, _, _ in by_bin[bins[0]])
-    records = tuple(
-        ResponseRecord(bin=b, baseline_p0=p0_by_bin[b],
-                       entries=tuple(by_bin[b]))
-        for b in bins
-    )
-    grid = BasisGrid(size=len(bins), bin_width=bin_width, origin=origin)
-    return ResponseMap(grid=grid, depths=depths, records=records)
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    rows = [[int(rec["bin"]), float(e["theta"]), float(rec["P0"]), float(e["Pr"]),
+             float(e["p"])] for rec in payload["records"] for e in rec["entries"]]
+    rmap = _response_map(path, rows, float(payload["bin_width"]),
+                         float(payload.get("origin", 0.0)))
+    if rmap.depths != tuple(float(t) for t in payload["depths"]):
+        raise ValueError(f"{path}: record depths differ from the map's depth list")
+    return rmap
 
 
 # -- reconstruction files ---------------------------------------------------
@@ -321,15 +327,11 @@ def load_reconstruction(path, fmt: str | None = None,
             amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
             branch_ok=branch_ok, nodes=amplitude_nodes(psi),
         )
-    rows = _read_csv(path, RECON_FIELDS)
+    cols = _read_columns(path, RECON_FIELDS)
     return {
-        "bin": np.array([int(r[0]) for r in rows]),
-        "t": np.array([float(r[1]) for r in rows]),
-        "re": np.array([float(r[2]) for r in rows]),
-        "im": np.array([float(r[3]) for r in rows]),
-        "abs2": np.array([float(r[4]) for r in rows]),
-        "phase": np.array([float(r[5]) for r in rows]),
-        "branch_ok": np.array([_parse_bool(r[6]) for r in rows]),
+        "bin": np.array([int(v) for v in cols["bin"]]),
+        **{name: np.array([float(v) for v in cols[name]]) for name in RECON_FIELDS[1:-1]},
+        "branch_ok": np.array([_parse_bool(v) for v in cols["branch_ok"]]),
     }
 
 
@@ -384,29 +386,16 @@ def save_sweep_map(path, sweep, fmt: str | None = None) -> None:
 
 def load_sweep_fidelity(path, fmt: str | None = None) -> dict:
     """Read a fidelity table back as a dict of column arrays."""
-    fmt = resolve_format(path, fmt)
-    if fmt == "json":
+    if resolve_format(path, fmt) == "json":
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        return {
-            "theta": np.array(payload["depths"], dtype=np.float64),
-            "seed_count": np.full(len(payload["depths"]),
-                                  int(payload["seed_count"])),
-            "fw_mean": np.array(payload["fw_mean"], dtype=np.float64),
-            "fw_std": np.array(payload["fw_std"], dtype=np.float64),
-            "fp_mean": np.array(payload["fp_mean"], dtype=np.float64),
-            "fp_std": np.array(payload["fp_std"], dtype=np.float64),
-            "fa_mean": np.array(payload["fa_mean"], dtype=np.float64),
-            "fa_std": np.array(payload["fa_std"], dtype=np.float64),
-        }
-    rows = _read_csv(path, SWEEP_FIELDS)
-    cols = {name: [] for name in SWEEP_FIELDS}
-    for row in rows:
-        for name, value in zip(SWEEP_FIELDS, row):
-            cols[name].append(value)
-    out = {name: np.array([float(v) for v in vals])
-           for name, vals in cols.items()}
-    out["seed_count"] = np.array([int(v) for v in cols["seed_count"]])
+        cols = {name: payload[name] for name in SWEEP_FIELDS[2:]}
+        cols["theta"] = payload["depths"]
+        cols["seed_count"] = [payload["seed_count"]] * len(payload["depths"])
+    else:
+        cols = _read_columns(path, SWEEP_FIELDS)
+    out = {name: np.array([float(v) for v in cols[name]]) for name in SWEEP_FIELDS}
+    out["seed_count"] = np.array([int(v) for v in cols["seed_count"]], dtype=np.int64)
     return out
 
 

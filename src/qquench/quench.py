@@ -70,49 +70,43 @@ class NoiseModel:
         return self.relative_sigma == 0.0
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
-    """Measured quantities for one bin: baseline plus per-depth entries.
-
-    ``entries`` holds ``(theta, measured_pr, response_p)`` tuples in the
-    scan's depth order.
-    """
-
-    bin: int
-    baseline_p0: float
-    entries: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class ResponseMap:
-    """One record per bin, all sharing the same depth list and baseline."""
+    """A scan's measurements as (n_bins, n_depths) arrays over one baseline.
+
+    ``pr[n, d]`` is the measured probability after quenching bin ``n`` by
+    ``depths[d]``, ``p[n, d] = 1 - pr[n, d] / p0`` its response factor, and
+    ``p0`` the measured baseline that every bin shares.
+    """
 
     grid: BasisGrid
     depths: tuple
-    records: tuple
+    pr: np.ndarray
+    p: np.ndarray
+    p0: float
 
     def __post_init__(self):
-        if len(self.records) != self.grid.size:
-            raise ValueError(
-                f"need one record per bin: {len(self.records)} records, {self.grid.size} bins"
-            )
-        for n, rec in enumerate(self.records):
-            if rec.bin != n:
-                raise ValueError(f"record {n} carries bin index {rec.bin}")
-            if tuple(e[0] for e in rec.entries) != tuple(self.depths):
-                raise ValueError(f"record {n} depths differ from the map's depth list")
+        object.__setattr__(self, "depths", tuple(float(t) for t in self.depths))
+        shape = (self.grid.size, len(self.depths))
+        for name in ("pr", "p"):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, (bins, depths) is {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "p0", float(self.p0))
 
     @property
     def baseline_p0(self) -> float:
-        return self.records[0].baseline_p0
+        return self.p0
 
     def response_matrix(self) -> np.ndarray:
         """Response factors p as an (n_bins, n_depths) array."""
-        return np.array([[e[2] for e in rec.entries] for rec in self.records])
+        return self.p.copy()
 
     def measured_matrix(self) -> np.ndarray:
         """Measured probabilities Pr as an (n_bins, n_depths) array."""
-        return np.array([[e[1] for e in rec.entries] for rec in self.records])
+        return self.pr.copy()
 
 
 def apply_quench(state: WavefunctionState, q: QuenchConfig) -> WavefunctionState:
@@ -158,6 +152,53 @@ def measure_with_noise(true_pr, noise: NoiseModel, key=None, baseline_p0=None) -
     return _kernels.noisy_mean_scalar(true_pr, scale, noise.trials, key)
 
 
+def measure_seeds(state: WavefunctionState, selector: PostSelector, depths,
+                  noise: NoiseModel, seeds):
+    """One scan per entry of ``seeds``, measured as one block.
+
+    Returns the measured baselines ``p0`` (S,), probabilities ``pr`` and
+    response factors ``p`` (S, n_bins, n_depths). Row ``s`` holds the bits a
+    scan with ``noise.seed = seeds[s]`` measures, because a draw depends only
+    on (seed, bin, depth, trial), never on evaluation order.
+    """
+    if state.grid != selector.grid:
+        raise DimensionMismatchError(f"grids differ: {state.grid} vs {selector.grid}")
+    thetas = np.asarray(depths, dtype=np.float64)
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise ValueError("need at least one quench depth")
+    for theta in thetas.tolist():
+        if not math.isfinite(theta):
+            raise ValueError(f"quench depth must be finite, got {theta}")
+        if theta == 0.0:
+            raise ValueError("depth 0 is the baseline; scan depths must be nonzero")
+
+    p0_true, pr_true = _kernels.true_probabilities(
+        state.amplitudes, selector.overlaps, thetas
+    )
+    if p0_true <= BASELINE_FLOOR:
+        raise DegenerateBaselineError(
+            f"post-selector {selector.label!r} is (nearly) orthogonal to the state: "
+            f"P0={p0_true:.3e} at or below floor {BASELINE_FLOOR:.0e}"
+        )
+
+    p0 = np.full(len(seeds), p0_true)
+    pr = np.broadcast_to(pr_true, p0.shape + pr_true.shape)
+    if not noise.noiseless:
+        sigma_abs = noise.relative_sigma * p0_true
+        # stream_key(seed, BASELINE_BIN, 0.0) of every seed
+        baseline_keys = rng.derive_keys(seeds, rng.BASELINE_BIN + 1, rng.float_tag(0.0))
+        p0 = _kernels.noisy_mean_matrix(p0, sigma_abs, noise.trials, baseline_keys)
+        keys = rng.key_matrix(seeds, state.grid.size, thetas)
+        pr = _kernels.noisy_mean_matrix(pr, sigma_abs, noise.trials, keys)
+
+    if np.any(p0 <= BASELINE_FLOOR):
+        raise DegenerateBaselineError(
+            f"measured baseline P0={p0.min():.3e} at or below floor {BASELINE_FLOOR:.0e} "
+            f"(selector {selector.label!r})"
+        )
+    return p0, pr, 1.0 - pr / p0[:, None, None]
+
+
 def scan(
     state: WavefunctionState,
     selector: PostSelector,
@@ -170,52 +211,9 @@ def scan(
     quench position), then each (bin, depth) probability is measured and
     converted to p = 1 - Pr/P0. Noise draws are counter-indexed by
     (seed, bin, depth, trial), so the scan is reproducible and bins could be
-    evaluated in any order or in parallel.
+    evaluated in any order or in parallel. This is :func:`measure_seeds`
+    for the one seed ``noise.seed``.
     """
-    if state.grid != selector.grid:
-        raise DimensionMismatchError(f"grids differ: {state.grid} vs {selector.grid}")
     depths = tuple(float(t) for t in depths)
-    if not depths:
-        raise ValueError("need at least one quench depth")
-    for theta in depths:
-        if not math.isfinite(theta):
-            raise ValueError(f"quench depth must be finite, got {theta}")
-        if theta == 0.0:
-            raise ValueError("depth 0 is the baseline; scan depths must be nonzero")
-
-    thetas = np.asarray(depths, dtype=np.float64)
-    p0_true, pr_true = _kernels.true_probabilities(
-        state.amplitudes, selector.overlaps, thetas
-    )
-    if p0_true <= BASELINE_FLOOR:
-        raise DegenerateBaselineError(
-            f"post-selector {selector.label!r} is (nearly) orthogonal to the state: "
-            f"P0={p0_true:.3e} at or below floor {BASELINE_FLOOR:.0e}"
-        )
-
-    if noise.noiseless:
-        p0_meas = p0_true
-        pr_meas = pr_true
-    else:
-        sigma_abs = noise.relative_sigma * p0_true
-        baseline_key = rng.stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
-        p0_meas = _kernels.noisy_mean_scalar(p0_true, sigma_abs, noise.trials, baseline_key)
-        keys = rng.key_matrix(noise.seed, state.grid.size, depths)
-        pr_meas = _kernels.noisy_mean_matrix(pr_true, sigma_abs, noise.trials, keys)
-
-    if p0_meas <= BASELINE_FLOOR:
-        raise DegenerateBaselineError(
-            f"measured baseline P0={p0_meas:.3e} at or below floor {BASELINE_FLOOR:.0e} "
-            f"(selector {selector.label!r})"
-        )
-
-    p0 = float(p0_meas)
-    records = tuple(
-        ResponseRecord(
-            bin=n,
-            baseline_p0=p0,
-            entries=tuple((theta, pr, 1.0 - pr / p0) for theta, pr in zip(depths, row)),
-        )
-        for n, row in enumerate(pr_meas.tolist())
-    )
-    return ResponseMap(grid=state.grid, depths=depths, records=records)
+    p0, pr, p = measure_seeds(state, selector, depths, noise, [noise.seed])
+    return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p=p[0], p0=p0[0])

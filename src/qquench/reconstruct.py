@@ -145,7 +145,14 @@ def phase_envelope(psi) -> np.ndarray:
     return phases
 
 
-def _split_pm_pair(depths):
+def invert_pair(depths, p):
+    """Invert the response factors ``p[..., d]`` of a +/-theta ``depths`` pair.
+
+    Returns ``(re, im, branch_ok)`` over the leading axes of ``p``: the pi/2
+    closed form when the pair is +/-pi/2, the general inversion otherwise.
+    Every operation is elementwise, so a block of scans inverts to the same
+    bits as each scan on its own.
+    """
     if len(depths) != 2:
         raise IncompleteDepthsError(
             f"reconstruction needs exactly a +/-theta depth pair, got {list(depths)}"
@@ -156,7 +163,11 @@ def _split_pm_pair(depths):
             f"depths {list(depths)} are not a +/-theta pair"
         )
     plus_idx = 0 if a > 0 else 1
-    return plus_idx, 1 - plus_idx, abs(a)
+    p = np.asarray(p, dtype=np.float64)
+    pr_p, pr_m, theta = p[..., plus_idx], p[..., 1 - plus_idx], abs(a)
+    if abs(theta - np.pi / 2) <= 1e-12:
+        return invert_pm_halfpi(pr_p, pr_m)
+    return invert_general(pr_p, pr_m, theta)
 
 
 def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
@@ -164,10 +175,10 @@ def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
 
     The bin quantities w_u sum to exactly 1, so sum(raw)/4 should be 1. A
     fold at bin u replaces re_u by 4 - re_u (always a reduction), leaving a
-    real deficit D = 4*(1 - Re[sum]/4...). When the sum rule breaks, any bin
-    whose folded interpretation would explain the deficit is flagged; if no
-    single bin explains it, the whole reconstruction is untrustworthy and
-    every bin is flagged.
+    real deficit D = 4 - Re[sum(raw)] = 4*(1 - Re[sum(raw)/4]). When the sum
+    rule breaks, any bin whose folded interpretation would explain the
+    deficit is flagged; if no single bin explains it, the whole
+    reconstruction is untrustworthy and every bin is flagged.
     """
     total = complex(raw.sum()) / 4.0
     if abs(total - 1.0) <= FOLD_SUM_TOL:
@@ -185,6 +196,41 @@ def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
         ok[:] = False
 
 
+def reconstruct_inverted(grid: BasisGrid, re, im, branch_ok,
+                         overlaps=None) -> ReconstructionResult:
+    """Finish one scan's :func:`invert_pair` output into a reconstruction.
+
+    Runs the sum-rule fold check, divides out ``overlaps`` when given,
+    normalizes the raw values to a unit vector and fixes the global phase
+    (see :func:`reconstruct_wavefunction`).
+    """
+    raw = re + 1j * im
+    ok = np.array(branch_ok, dtype=bool, copy=True)
+    _detect_folds(raw, ok)
+
+    scaled = raw if overlaps is None else raw / np.asarray(overlaps, dtype=np.complex128)
+    norm = float(np.linalg.norm(scaled))
+    if norm == 0.0:
+        # nothing to normalize: every bin is a flagged node
+        psi = np.zeros(grid.size, dtype=np.complex128)
+        ok[:] = False
+    else:
+        psi = scaled / norm
+        peak = int(np.argmax(np.abs(psi)))
+        psi = psi * (psi[peak].conjugate() / abs(psi[peak]))
+
+    return ReconstructionResult(
+        grid=grid,
+        raw_re=re,
+        raw_im=im,
+        psi=psi,
+        amplitude_env=np.abs(psi),
+        phase_env=phase_envelope(psi),
+        branch_ok=ok,
+        nodes=amplitude_nodes(psi),
+    )
+
+
 def reconstruct_wavefunction(rmap: ResponseMap, overlaps=None) -> ReconstructionResult:
     """Recover the complex wavefunction from a +/-theta response map.
 
@@ -200,53 +246,8 @@ def reconstruct_wavefunction(rmap: ResponseMap, overlaps=None) -> Reconstruction
     them back out. With the default uniform selector no correction is
     needed.
     """
-    plus_idx, minus_idx, theta = _split_pm_pair(rmap.depths)
-    pr_p = np.empty(rmap.grid.size)
-    pr_m = np.empty(rmap.grid.size)
-    for n, rec in enumerate(rmap.records):
-        pr_p[n] = rec.entries[plus_idx][2]
-        pr_m[n] = rec.entries[minus_idx][2]
-
-    if abs(theta - np.pi / 2) <= 1e-12:
-        re, im, ok = invert_pm_halfpi(pr_p, pr_m)
-    else:
-        re, im, ok = invert_general(pr_p, pr_m, theta)
-
-    raw = re + 1j * im
-    ok = np.array(ok, dtype=bool, copy=True)
-    _detect_folds(raw, ok)
-
-    scaled = raw if overlaps is None else raw / np.asarray(overlaps, dtype=np.complex128)
-    norm = float(np.linalg.norm(scaled))
-    if norm == 0.0:
-        n = rmap.grid.size
-        zeros = np.zeros(n)
-        return ReconstructionResult(
-            grid=rmap.grid,
-            raw_re=re,
-            raw_im=im,
-            psi=np.zeros(n, dtype=np.complex128),
-            amplitude_env=zeros,
-            phase_env=zeros.copy(),
-            branch_ok=np.zeros(n, dtype=bool),
-            nodes=np.ones(n, dtype=bool),
-        )
-
-    psi = scaled / norm
-    peak = int(np.argmax(np.abs(psi)))
-    rotation = psi[peak].conjugate() / abs(psi[peak])
-    psi = psi * rotation
-
-    return ReconstructionResult(
-        grid=rmap.grid,
-        raw_re=re,
-        raw_im=im,
-        psi=psi,
-        amplitude_env=np.abs(psi),
-        phase_env=phase_envelope(psi),
-        branch_ok=ok,
-        nodes=amplitude_nodes(psi),
-    )
+    re, im, ok = invert_pair(rmap.depths, rmap.p)
+    return reconstruct_inverted(rmap.grid, re, im, ok, overlaps)
 
 
 def gauge_fix(psi) -> np.ndarray:

@@ -5,12 +5,13 @@ SplitMix64-style bit mixer evaluated at explicit (key, counter) positions.
 A draw depends only on (seed, bin, depth, trial), never on call order, which
 makes scans reproducible and trivially parallelizable.
 
-Key blocks (``key_matrix``) and all draws (``normals``) run on one
-vectorized mixer over numpy uint64 arrays. The pure-Python ``mix64`` derives
-single keys (``derive_key``, ``stream_key``) and, with ``normal``, is the
-reference the tests hold the vectorized path to: the integer outputs are
-bit-identical, and the float normals agree to the last ulp or so because
-numpy's vectorized log/cos may differ from libm by one rounding.
+Key blocks (``derive_keys``, ``key_matrix``, for one seed or an array of
+them) and all draws (``normals``) run on one vectorized mixer over numpy
+uint64 arrays. The pure-Python ``mix64`` derives single keys
+(``derive_key``, ``stream_key``) and, with ``normal``, is the reference the
+tests hold the vectorized path to: the integer outputs are bit-identical,
+and the float normals agree to the last ulp or so because numpy's
+vectorized log/cos may differ from libm by one rounding.
 """
 
 from __future__ import annotations
@@ -72,17 +73,33 @@ def stream_key(seed: int, bin_index: int, theta: float) -> int:
     return derive_key(seed, bin_index + 1, float_tag(theta))
 
 
-def key_matrix(seed: int, n_bins: int, thetas) -> np.ndarray:
-    """uint64 array of stream keys, shape (n_bins, len(thetas)).
+def _u64(x) -> np.ndarray:
+    """``x`` as a uint64 array with integers masked to 64 bits."""
+    # never a numpy scalar: scalar uint64 arithmetic warns on the wrap-around
+    # the mixer relies on
+    if not isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=object) & MASK64
+    return np.atleast_1d(np.asarray(x, dtype=np.uint64))
 
-    Entry ``[n, d]`` equals ``stream_key(seed, n, thetas[d])``.
+
+def derive_keys(seed, *tags) -> np.ndarray:
+    """:func:`derive_key` over arrays: the seed and tags broadcast like numpy operands."""
+    k = _mix64_np(_u64(seed))
+    for t in tags:
+        k = _mix64_np(k ^ _u64(t))
+    return k
+
+
+def key_matrix(seed, n_bins: int, thetas) -> np.ndarray:
+    """uint64 stream keys of shape ``np.shape(seed) + (n_bins, len(thetas))``.
+
+    ``seed`` is one seed or an array of them; entry ``[..., n, d]`` equals
+    ``stream_key(seed, n, thetas[d])`` for the matching seed.
     """
-    # A one-element array, not a numpy scalar: scalar uint64 arithmetic
-    # warns on the wrap-around the mixer relies on.
-    k = _mix64_np(np.array([seed & MASK64], dtype=np.uint64))
-    k = _mix64_np(k ^ np.arange(1, n_bins + 1, dtype=np.uint64))
+    seeds = _u64(seed).reshape(np.shape(seed) + (1, 1))
+    bins = np.arange(1, n_bins + 1, dtype=np.uint64)[:, None]
     tags = np.asarray(thetas, dtype=np.float64).view(np.uint64)
-    return _mix64_np(k[:, None] ^ tags[None, :])
+    return derive_keys(seeds, bins, tags)
 
 
 def normal(key: int, counter: int) -> float:

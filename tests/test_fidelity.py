@@ -3,9 +3,11 @@ import pytest
 
 from qquench import (
     BasisGrid,
+    DegenerateBaselineError,
     NoiseModel,
     builtin_waveform,
     depth_sweep,
+    dft_post_selector,
     fidelity_amplitude,
     fidelity_overall,
     fidelity_phase,
@@ -15,6 +17,7 @@ from qquench import (
     score_reconstruction,
     uniform_post_selector,
 )
+from qquench import rng
 from support import branch_valid_state
 
 QUIET = NoiseModel(relative_sigma=0.0)
@@ -195,3 +198,71 @@ def test_depth_sweep_validates_arguments():
     depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=np.int64(2))
     # noiseless runs may use a single seed
     depth_sweep(state, sel, (np.pi / 2,), QUIET, n_seeds=1)
+
+
+def _per_seed_sweep(state, sel, depths, noise, n_seeds):
+    """depth_sweep as a plain loop: one scan, reconstruction and score per seed."""
+    overlaps = None if sel.label == "uniform" else sel.overlaps
+    fw, fp, fa = (np.empty((len(depths), n_seeds)) for _ in range(3))
+    for d, theta in enumerate(depths):
+        for s in range(n_seeds):
+            sub = NoiseModel(relative_sigma=noise.relative_sigma, trials=noise.trials,
+                             seed=rng.derive_key(noise.seed, rng.float_tag(theta), s))
+            rmap = scan(state, sel, (theta, -theta), sub)
+            rec = reconstruct_wavefunction(rmap, overlaps=overlaps)
+            scores = score_reconstruction(rec, state, sub)
+            fw[d, s], fp[d, s], fa[d, s] = scores.f_w, scores.f_p, scores.f_a
+    mags = np.column_stack([np.abs(scan(state, sel, (t,), QUIET).response_matrix()[:, 0])
+                            for t in depths])
+    return {"fw_mean": fw.mean(axis=1), "fw_std": fw.std(axis=1, ddof=1),
+            "fp_mean": fp.mean(axis=1), "fp_std": fp.std(axis=1, ddof=1),
+            "fa_mean": fa.mean(axis=1), "fa_std": fa.std(axis=1, ddof=1),
+            "response_magnitudes": mags}
+
+
+@pytest.mark.parametrize("selector", ["uniform", "dft:3"])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("seed", [5, 2**63 + 5])
+def test_depth_sweep_matches_per_seed_reference(selector, trials, seed):
+    # the seed-batched sweep must reproduce the per-seed loop bit for bit
+    grid = BasisGrid(size=12)
+    state = builtin_waveform("square_step_phase", grid)
+    sel = uniform_post_selector(grid) if selector == "uniform" else dft_post_selector(grid, 3)
+    depths = (np.pi / 8, 3 * np.pi / 8, np.pi / 2, 2.5)
+    noise = NoiseModel(relative_sigma=0.01, seed=seed, trials=trials)
+    sweep = depth_sweep(state, sel, depths, noise, n_seeds=6)
+    expected = _per_seed_sweep(state, sel, depths, noise, 6)
+    assert np.array_equal(sweep.depths, depths)
+    assert sweep.seed_count == 6
+    for field, value in expected.items():
+        assert np.array_equal(getattr(sweep, field), value), field
+
+
+def test_depth_sweep_divides_out_selector_overlaps():
+    grid = BasisGrid(size=20)
+    state = builtin_waveform("square_step_phase", grid)
+    sel = dft_post_selector(grid, 3)
+    noise = NoiseModel(relative_sigma=0.002, seed=1, trials=1)
+    sweep = depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=32)
+    assert sweep.fw_mean[0] >= 0.99
+
+
+def test_depth_sweep_rejects_a_degenerate_measured_baseline():
+    # P0 = 4e-6 with sigma equal to P0: some seeds measure P0 at the floor,
+    # and the sweep raises as a scan with that seed does
+    grid = BasisGrid(size=4)
+    state = make_state(grid, [1.0, -1.0, 1.0, -1.0 + 8e-3])
+    sel = uniform_post_selector(grid)
+    noise = NoiseModel(relative_sigma=1.0, seed=3, trials=1)
+    theta = np.pi / 2
+    failing = []
+    for s in range(32):
+        sub = NoiseModel(relative_sigma=1.0, trials=1,
+                         seed=rng.derive_key(noise.seed, rng.float_tag(theta), s))
+        try:
+            scan(state, sel, (theta, -theta), sub)
+        except DegenerateBaselineError:
+            failing.append(s)
+    assert 0 < len(failing) < 32
+    with pytest.raises(DegenerateBaselineError):
+        depth_sweep(state, sel, (theta,), noise, n_seeds=32)

@@ -1,12 +1,19 @@
+import json
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qquench import (
     BasisGrid,
     NoiseModel,
+    ReconstructionResult,
+    ResponseMap,
+    SweepResult,
     ZeroVectorError,
     builtin_waveform,
     depth_sweep,
@@ -25,7 +32,7 @@ from qquench import (
     scan,
     uniform_post_selector,
 )
-from qquench import phase_envelope
+from qquench import amplitude_nodes, phase_envelope
 from qquench.io import atomic_write_text, fmt_float, resolve_format
 
 QUIET = NoiseModel(relative_sigma=0.0)
@@ -176,6 +183,23 @@ def test_response_map_csv_rejects_gaps(tmp_path):
         load_response_map(path)
 
 
+def test_response_map_csv_rejects_baselines_that_differ_between_bins(tmp_path):
+    path = tmp_path / "p0.csv"
+    path.write_text("bin,theta,P0,Pr,p\n0,1.0,0.5,0.4,0.2\n1,1.0,0.25,0.2,0.2\n")
+    with pytest.raises(ValueError, match="P0"):
+        load_response_map(path)
+
+
+def test_response_map_json_rejects_baselines_that_differ_between_bins(tmp_path, pipeline):
+    path = tmp_path / "p0.json"
+    save_response_map(path, pipeline[1], "json")
+    payload = json.loads(path.read_text())
+    payload["records"][3]["P0"] *= 1.5
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="P0"):
+        load_response_map(path)
+
+
 def test_reconstruction_json_round_trip_is_exact(tmp_path, pipeline):
     rec = pipeline[2]
     path = tmp_path / "rec.json"
@@ -250,3 +274,97 @@ def test_format_override_beats_suffix(tmp_path, pipeline):
     save_response_map(path, pipeline[1], "json")
     loaded = load_response_map(path, fmt="json")
     assert loaded.depths == pipeline[1].depths
+
+
+# Exact round trips of every save/load pair on arbitrary finite doubles.
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_shape = st.tuples(st.integers(2, 6), st.integers(1, 4))
+_formats = st.sampled_from(["csv", "json"])
+
+
+def _grid(n, width):
+    # with a dyadic width every bin time is exact, so a CSV waveform, which
+    # stores times only, gives back this very grid
+    return BasisGrid(size=n, bin_width=width, origin=-width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), fmt=_formats)
+def test_waveform_files_round_trip_exactly(tmp_path_factory, data, n, fmt):
+    psi = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    state = make_state(_grid(n, 0.25), psi)
+    path = tmp_path_factory.mktemp("wave") / f"wave.{fmt}"
+    save_waveform(path, state, fmt)
+    loaded = load_waveform(path)
+    # the file holds the polar doubles verbatim; loading rebuilds the state from them
+    expected = make_state(state.grid, np.abs(state.amplitudes)
+                          * np.exp(1j * phase_envelope(state.amplitudes)))
+    assert np.array_equal(loaded.amplitudes, expected.amplitudes)
+    assert loaded.grid == state.grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=_shape, fmt=_formats, width=st.floats(1e-9, 1e3))
+def test_response_map_files_round_trip_exactly(tmp_path_factory, data, shape, fmt, width):
+    rmap = ResponseMap(
+        grid=_grid(shape[0], width),
+        depths=data.draw(st.lists(_finite, min_size=shape[1], max_size=shape[1])),
+        pr=data.draw(arrays(np.float64, shape, elements=_finite)),
+        p=data.draw(arrays(np.float64, shape, elements=_finite)),
+        p0=data.draw(_finite),
+    )
+    path = tmp_path_factory.mktemp("map") / f"map.{fmt}"
+    save_response_map(path, rmap, fmt)
+    loaded = load_response_map(path, bin_width=width, origin=-width)
+    assert loaded.grid == rmap.grid
+    assert loaded.depths == rmap.depths
+    assert np.array_equal(loaded.pr, rmap.pr)
+    assert np.array_equal(loaded.p, rmap.p)
+    assert loaded.p0 == rmap.p0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8))
+def test_reconstruction_json_round_trips_exactly(tmp_path_factory, data, n):
+    psi = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    rec = ReconstructionResult(
+        grid=_grid(n, 0.5),
+        raw_re=data.draw(arrays(np.float64, n, elements=_finite)),
+        raw_im=data.draw(arrays(np.float64, n, elements=_finite)),
+        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
+        branch_ok=data.draw(arrays(np.bool_, n)), nodes=amplitude_nodes(psi),
+    )
+    path = tmp_path_factory.mktemp("rec") / "rec.json"
+    save_reconstruction(path, rec, "json")
+    loaded = load_reconstruction(path)
+    assert loaded.grid == rec.grid
+    for field in ("raw_re", "raw_im", "psi", "amplitude_env", "phase_env", "branch_ok",
+                  "nodes"):
+        assert np.array_equal(getattr(loaded, field), getattr(rec, field)), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=_shape, fmt=_formats, seed_count=st.integers(1, 64))
+def test_sweep_files_round_trip_exactly(tmp_path_factory, data, shape, fmt, seed_count):
+    n, d = shape
+    stats = {name: data.draw(arrays(np.float64, d, elements=_finite))
+             for name in ("fw_mean", "fw_std", "fp_mean", "fp_std", "fa_mean", "fa_std")}
+    sweep = SweepResult(
+        grid=_grid(n, 0.5), depths=data.draw(arrays(np.float64, d, elements=_finite)),
+        seed_count=seed_count,
+        response_magnitudes=data.draw(arrays(np.float64, shape, elements=_finite)), **stats)
+    folder = tmp_path_factory.mktemp("sweep")
+    save_sweep_fidelity(folder / f"fid.{fmt}", sweep, fmt)
+    save_sweep_map(folder / f"map.{fmt}", sweep, fmt)
+    table = load_sweep_fidelity(folder / f"fid.{fmt}")
+    heat = load_sweep_map(folder / f"map.{fmt}")
+    assert np.array_equal(table["theta"], sweep.depths)
+    assert np.all(table["seed_count"] == seed_count)
+    for name, value in stats.items():
+        assert np.array_equal(table[name], value), name
+    assert np.array_equal(heat["bin"], np.arange(n))
+    assert np.array_equal(heat["theta"], sweep.depths)
+    assert np.array_equal(heat["abs_p"], sweep.response_magnitudes)

@@ -10,7 +10,6 @@ from qquench import (
     NoiseModel,
     QuenchConfig,
     ResponseMap,
-    ResponseRecord,
     apply_quench,
     builtin_waveform,
     dft_post_selector,
@@ -281,17 +280,15 @@ def test_noisy_baseline_spread_matches_relative_sigma():
 def test_response_map_validates_record_order():
     grid = BasisGrid(size=2)
     depths = (np.pi / 2,)
-    good = (
-        ResponseRecord(bin=0, baseline_p0=0.5, entries=((np.pi / 2, 0.4, 0.2),)),
-        ResponseRecord(bin=1, baseline_p0=0.5, entries=((np.pi / 2, 0.4, 0.2),)),
-    )
-    ResponseMap(grid=grid, depths=depths, records=good)
-    with pytest.raises(ValueError):
-        ResponseMap(grid=grid, depths=depths, records=good[::-1])
-    with pytest.raises(ValueError):
-        ResponseMap(grid=grid, depths=(np.pi / 3,), records=good)
-    with pytest.raises(ValueError):
-        ResponseMap(grid=grid, depths=depths, records=good[:1])
+    pr = np.full((2, 1), 0.4)
+    p = np.full((2, 1), 0.2)
+    ResponseMap(grid=grid, depths=depths, pr=pr, p=p, p0=0.5)
+    with pytest.raises(ValueError):  # wrong bin count
+        ResponseMap(grid=grid, depths=depths, pr=pr[:1], p=p[:1], p0=0.5)
+    with pytest.raises(ValueError):  # wrong depth count
+        ResponseMap(grid=grid, depths=(np.pi / 2, -np.pi / 2), pr=pr, p=p, p0=0.5)
+    with pytest.raises(ValueError):  # not (N, D)
+        ResponseMap(grid=grid, depths=depths, pr=pr.ravel(), p=p.ravel(), p0=0.5)
 
 
 def test_response_matrix_shape_and_content():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qquench import (
     BasisGrid,
@@ -19,7 +21,8 @@ from qquench import (
     wrap_phase,
 )
 from qquench import builtin_waveform
-from support import branch_valid_state, random_state
+from qquench.reconstruct import SINGULAR_TOL
+from support import branch_valid_state, random_state, scaled_amplitudes
 
 QUIET = NoiseModel(relative_sigma=0.0)
 
@@ -271,3 +274,43 @@ def test_gauge_fix_rotates_peak_to_real():
     assert fixed[peak].real > 0
     # only a global phase was applied
     assert abs(np.vdot(fixed, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+
+_theta = st.floats(0.0, 2 * np.pi, exclude_min=True, exclude_max=True).filter(
+    lambda t: 1.0 - np.cos(t) >= SINGULAR_TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=_theta, n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+def test_invert_general_noiseless_round_trip_property(theta, n, seed):
+    # a noiseless +/-theta scan of a branch-valid state inverts to 4w; the
+    # error is rounding, amplified by 1/sin(theta) in the imaginary channel
+    # and by 1/(1 - cos(theta)) in the real one
+    grid = BasisGrid(size=n)
+    state = branch_valid_state(grid, np.random.default_rng(seed))
+    sel = uniform_post_selector(grid)
+    p = scan(state, sel, (theta, -theta), QUIET).response_matrix()
+    re, im, ok = invert_general(p[:, 0], p[:, 1], theta)
+    w = scaled_amplitudes(state.amplitudes, sel.overlaps)
+    scale = 1e-12 * (1.0 + np.max(np.abs(w)) ** 2)
+    sin_t = abs(np.sin(theta))
+    assert np.all(ok)
+    assert np.max(np.abs(re - 4 * w.real)) <= scale * (1.0 + 1.0 / (1.0 - np.cos(theta)))
+    if sin_t < SINGULAR_TOL:
+        assert np.all(im == 0.0)
+    else:
+        assert np.max(np.abs(im - 4 * w.imag)) <= scale * (1.0 + 1.0 / sin_t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.floats(0.1, np.pi - 0.1), n=st.integers(4, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_sum_rule_holds_on_noiseless_scans(theta, n, seed):
+    # sum_u w_u = 1, so the raw inversion of a noiseless scan sums to 4
+    grid = BasisGrid(size=n)
+    state = branch_valid_state(grid, np.random.default_rng(seed))
+    rmap = scan(state, uniform_post_selector(grid), (theta, -theta), QUIET)
+    rec = reconstruct_wavefunction(rmap)
+    total = complex(np.sum(rec.raw_re + 1j * rec.raw_im)) / 4.0
+    assert abs(total - 1.0) <= 1e-9
+    assert np.all(rec.branch_ok)

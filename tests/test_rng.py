@@ -49,15 +49,29 @@ _u64 = st.integers(0, 2**64 - 1)
 
 
 @settings(deadline=None)
-@given(seed=_u64, n_bins=st.integers(0, 64),
+@given(seeds=st.lists(_u64, min_size=1, max_size=4), n_bins=st.integers(0, 64),
        thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
-@example(seed=2**64 - 1, n_bins=3, thetas=[-0.0, 0.0, np.pi, -np.pi, -1e-4])
-def test_key_matrix_equals_stream_key_oracle(seed, n_bins, thetas):
-    keys = rng.key_matrix(seed, n_bins, thetas)
-    oracle = np.array([[rng.stream_key(seed, n, t) for t in thetas]
-                       for n in range(n_bins)], dtype=np.uint64)
-    assert keys.dtype == np.uint64
-    assert np.array_equal(keys, oracle.reshape(n_bins, len(thetas)))
+@example(seeds=[2**64 - 1, 2**63 + 5], n_bins=3, thetas=[-0.0, 0.0, np.pi, -np.pi, -1e-4])
+def test_key_matrix_equals_stream_key_oracle(seeds, n_bins, thetas):
+    oracle = np.array([[[rng.stream_key(seed, n, t) for t in thetas]
+                        for n in range(n_bins)] for seed in seeds], dtype=np.uint64)
+    oracle = oracle.reshape(len(seeds), n_bins, len(thetas))
+    one = rng.key_matrix(seeds[0], n_bins, thetas)
+    block = rng.key_matrix(np.array(seeds, dtype=np.uint64), n_bins, thetas)
+    assert one.dtype == block.dtype == np.uint64
+    assert np.array_equal(one, oracle[0])
+    assert np.array_equal(block, oracle)
+
+
+@settings(deadline=None)
+@given(seed=_u64, tag=_u64, count=st.integers(1, 40))
+def test_derive_keys_equals_derive_key_oracle(seed, tag, count):
+    keys = rng.derive_keys(seed, tag, np.arange(count))
+    assert np.array_equal(keys, np.array([rng.derive_key(seed, tag, s) for s in range(count)],
+                                         dtype=np.uint64))
+    assert np.array_equal(rng.derive_keys(keys, rng.BASELINE_BIN + 1, rng.float_tag(0.0)),
+                          np.array([rng.stream_key(int(k), rng.BASELINE_BIN, 0.0) for k in keys],
+                                   dtype=np.uint64))
 
 
 @settings(deadline=None)
