@@ -196,6 +196,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             ns[dest] = [parse_theta(str(v)) for v in value]
         elif dest == "seed":
             ns[dest] = parse_seed(str(value))
+        elif dest in ("bins", "trials", "seeds") and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{args.config}: {key} must be an integer, got {value!r}")
         else:
             ns[dest] = value
 

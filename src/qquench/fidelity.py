@@ -21,6 +21,8 @@ from . import rng
 from .quench import NoiseModel, measure_seeds, scan
 from .reconstruct import (
     NODE_TOL,
+    _rotate_to_real,
+    _sum_squares,
     invert_pair,
     phase_envelope,
     reconstruct_inverted,
@@ -39,7 +41,7 @@ class FidelityScores:
 
     ``f_w`` (overall) compares the full complex vectors and ignores the
     mask; ``f_p`` (phase) and ``f_a`` (amplitude) are computed on
-    ``valid_bins`` only.
+    ``valid_bins`` only. A scored block holds one score per row, as arrays.
     """
 
     f_w: float
@@ -70,34 +72,56 @@ class SweepResult:
     response_magnitudes: np.ndarray
 
 
-def fidelity_overall(psi_rec, psi_in) -> float:
-    """|<psi_rec|psi_in>| / (|psi_rec| |psi_in|); 0 if either vector is zero."""
+def _scalar_or_array(x):
+    """A 0-d result as a float, a per-row result as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _inner(a, b):
+    """<a|b> per row: sum(conj(a) * b) along the last axis."""
+    return np.sum(a.conjugate() * b, axis=-1)
+
+
+def fidelity_overall(psi_rec, psi_in):
+    """|<psi_rec|psi_in>| / (|psi_rec| |psi_in|); 0 if either vector is zero.
+
+    Works on each row of (..., N) blocks; one pair of vectors gives a float.
+    """
     a = np.asarray(psi_rec, dtype=np.complex128)
     b = np.asarray(psi_in, dtype=np.complex128)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(abs(np.vdot(a, b)) / (na * nb))
+    scale = np.sqrt(_sum_squares(a)) * np.sqrt(_sum_squares(b))
+    ratio = np.divide(np.abs(_inner(a, b)), scale,
+                      out=np.zeros(np.shape(scale)), where=scale != 0.0)
+    return _scalar_or_array(ratio)
 
 
-def _envelope_correlation(rec, ref, degenerate_by_cosine: bool) -> float:
+def _envelope_correlation(rec, ref, degenerate_by_cosine: bool, valid=None):
+    """Normalized correlation of two envelopes over the ``valid`` bins of each row.
+
+    Without ``valid`` the envelopes must have one shape and every bin
+    counts. An empty row scores 1. When either masked envelope is
+    identically zero the correlation is 0/0: it scores the mean cosine of
+    the difference if ``degenerate_by_cosine`` (1 for two flat-phase
+    envelopes), else 0.
+    """
     x = np.asarray(rec, dtype=np.float64)
     y = np.asarray(ref, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return 1.0
-    sx = float(np.sum(x * x))
-    sy = float(np.sum(y * y))
-    if sx == 0.0 or sy == 0.0:
-        if degenerate_by_cosine:
-            # Flat-phase envelopes make the correlation 0/0; fall back to
-            # the mean cosine of the phase difference, which is 1 when both
-            # envelopes are identically zero.
-            return float(np.mean(np.cos(x - y)))
-        return 0.0
-    return float(np.sum(x * y) / math.sqrt(sx * sy))
+    if valid is None:
+        if x.shape != y.shape:
+            raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
+        valid = np.ones(x.shape, dtype=bool)
+    x = np.where(valid, x, 0.0)
+    y = np.where(valid, y, 0.0)
+    count = np.sum(valid, axis=-1)
+    sx = np.sum(x * x, axis=-1)
+    sy = np.sum(y * y, axis=-1)
+    degenerate = (sx == 0.0) | (sy == 0.0)
+    out = np.divide(np.sum(x * y, axis=-1), np.sqrt(sx * sy),
+                    out=np.zeros(np.shape(sx)), where=~degenerate)
+    if degenerate_by_cosine:
+        cosines = np.sum(np.where(valid, np.cos(x - y), 0.0), axis=-1)
+        np.divide(cosines, count, out=out, where=degenerate & (count > 0))
+    return _scalar_or_array(np.where(count == 0, 1.0, out))
 
 
 def fidelity_phase(phase_rec, phase_in) -> float:
@@ -132,26 +156,26 @@ def score_reconstruction(result, state: WavefunctionState,
     therefore rotated so its overlap with the prepared state is real
     positive, the unique gauge that matches the two vectors, before the
     envelopes are compared.
+
+    A block reconstruction (fields of shape (..., N)) is scored row by row
+    in one call: the scores are then arrays over the leading axes, equal
+    bit for bit to scoring each row on its own.
     """
     psi_in = np.asarray(state.amplitudes, dtype=np.complex128)
     overall = fidelity_overall(result.psi, psi_in)
-    z = np.vdot(psi_in, result.psi)
-    psi_rec = result.psi * (z.conjugate() / abs(z)) if abs(z) > 0 else result.psi
-
-    raw_mag = np.hypot(result.raw_re, result.raw_im)
-    valid = result.branch_ok & ~result.nodes
-    valid &= np.abs(psi_in) >= NODE_TOL
-    floor = resolution_floor(noise)
-    if floor > 0.0:
-        valid &= raw_mag >= floor
+    psi_rec = _rotate_to_real(result.psi, _inner(psi_in, result.psi))
 
     amp_in = np.abs(psi_in)
-    phase_in = phase_envelope(psi_in)
-    phase_rec = phase_envelope(psi_rec)
-    phase = fidelity_phase(phase_rec[valid], phase_in[valid])
-    amplitude = fidelity_amplitude(result.amplitude_env[valid], amp_in[valid])
-    return FidelityScores(f_w=overall, f_p=phase, f_a=amplitude,
-                          valid_bins=valid)
+    valid = result.branch_ok & ~result.nodes & (amp_in >= NODE_TOL)
+    floor = resolution_floor(noise)
+    if floor > 0.0:
+        valid &= np.hypot(result.raw_re, result.raw_im) >= floor
+
+    phase = _envelope_correlation(phase_envelope(psi_rec), phase_envelope(psi_in),
+                                  degenerate_by_cosine=True, valid=valid)
+    amplitude = _envelope_correlation(result.amplitude_env, amp_in,
+                                      degenerate_by_cosine=False, valid=valid)
+    return FidelityScores(f_w=overall, f_p=phase, f_a=amplitude, valid_bins=valid)
 
 
 def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
@@ -187,7 +211,7 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
 
     for d, theta in enumerate(depth_arr.tolist()):
         # Seed s scans with seed derive_key(seed, float_tag(theta), s). All
-        # seeds are measured and inverted as one block, then scored one by one.
+        # seeds are measured, inverted, finished and scored as one block.
         if noise.noiseless:
             seeds = [noise.seed]
         else:
@@ -195,15 +219,9 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
         pair = (theta, -theta)
         _, _, p = measure_seeds(state, selector, pair, noise, seeds)
         re, im, ok = invert_pair(pair, p)
-        scores = [
-            score_reconstruction(
-                reconstruct_inverted(state.grid, re[s], im[s], ok[s], overlaps),
-                state, noise)
-            for s in range(len(seeds))
-        ]
-        fw[d] = [sc.f_w for sc in scores]
-        fp[d] = [sc.f_p for sc in scores]
-        fa[d] = [sc.f_a for sc in scores]
+        scores = score_reconstruction(
+            reconstruct_inverted(state.grid, re, im, ok, overlaps), state, noise)
+        fw[d], fp[d], fa[d] = scores.f_w, scores.f_p, scores.f_a
 
     # Each column of a noiseless scan depends only on its own depth, so one
     # all-depth scan gives the same map as one scan per depth.

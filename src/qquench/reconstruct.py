@@ -51,7 +51,7 @@ class ReconstructionResult:
     version with the global phase fixed so the largest-amplitude bin is real
     positive. ``branch_ok[u]`` is False where the inversion's validity
     conditions failed; ``nodes[u]`` marks amplitude nodes where the phase is
-    meaningless.
+    meaningless. A block of scans holds (..., N) arrays, one row per scan.
     """
 
     grid: BasisGrid
@@ -178,46 +178,39 @@ def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
     real deficit D = 4 - Re[sum(raw)] = 4*(1 - Re[sum(raw)/4]). When the sum
     rule breaks, any bin whose folded interpretation would explain the
     deficit is flagged; if no single bin explains it, the whole
-    reconstruction is untrustworthy and every bin is flagged.
+    reconstruction is untrustworthy and every bin is flagged. Each row of
+    the last axis is checked on its own.
     """
-    total = complex(raw.sum()) / 4.0
-    if abs(total - 1.0) <= FOLD_SUM_TOL:
-        return
+    total = np.sum(raw, axis=-1) / 4.0
+    broken = ~(np.abs(total - 1.0) <= FOLD_SUM_TOL)
     deficit = 4.0 * (1.0 - total.real)
-    if deficit <= 0:
-        ok[:] = False
-        return
     explained = 4.0 - 2.0 * raw.real
-    window = max(FOLD_ATTR_ABS, FOLD_ATTR_REL * deficit)
-    candidates = np.abs(explained - deficit) <= window
-    if np.any(candidates):
-        ok[candidates] = False
-    else:
-        ok[:] = False
+    window = np.maximum(FOLD_ATTR_ABS, FOLD_ATTR_REL * deficit)
+    candidates = np.abs(explained - deficit[..., None]) <= window[..., None]
+    flag_all = (deficit <= 0) | ~np.any(candidates, axis=-1)
+    ok &= ~(broken[..., None] & (flag_all[..., None] | candidates))
 
 
 def reconstruct_inverted(grid: BasisGrid, re, im, branch_ok,
                          overlaps=None) -> ReconstructionResult:
-    """Finish one scan's :func:`invert_pair` output into a reconstruction.
+    """Finish :func:`invert_pair` output into a reconstruction.
 
     Runs the sum-rule fold check, divides out ``overlaps`` when given,
     normalizes the raw values to a unit vector and fixes the global phase
-    (see :func:`reconstruct_wavefunction`).
+    (see :func:`reconstruct_wavefunction`). ``re``, ``im`` and ``branch_ok``
+    are one scan's (N,) arrays or an (..., N) block of scans; every step
+    works along the bin axis alone, so a block gives the same bits as each
+    of its rows on its own.
     """
     raw = re + 1j * im
     ok = np.array(branch_ok, dtype=bool, copy=True)
     _detect_folds(raw, ok)
 
     scaled = raw if overlaps is None else raw / np.asarray(overlaps, dtype=np.complex128)
-    norm = float(np.linalg.norm(scaled))
-    if norm == 0.0:
-        # nothing to normalize: every bin is a flagged node
-        psi = np.zeros(grid.size, dtype=np.complex128)
-        ok[:] = False
-    else:
-        psi = scaled / norm
-        peak = int(np.argmax(np.abs(psi)))
-        psi = psi * (psi[peak].conjugate() / abs(psi[peak]))
+    norm = np.sqrt(_sum_squares(scaled))[..., None]
+    # a zero row has nothing to normalize: it stays zero, every bin a flagged node
+    ok &= norm != 0.0
+    psi = gauge_fix(np.divide(scaled, norm, out=np.zeros_like(scaled), where=norm != 0.0))
 
     return ReconstructionResult(
         grid=grid,
@@ -250,14 +243,29 @@ def reconstruct_wavefunction(rmap: ResponseMap, overlaps=None) -> Reconstruction
     return reconstruct_inverted(rmap.grid, re, im, ok, overlaps)
 
 
+def _sum_squares(z) -> np.ndarray:
+    """|z|^2 summed along the last axis, as numpy pairwise sums (no BLAS)."""
+    return np.sum(z.real * z.real, axis=-1) + np.sum(z.imag * z.imag, axis=-1)
+
+
+def _rotate_to_real(arr: np.ndarray, ref) -> np.ndarray:
+    """``arr * conj(ref) / |ref|`` per row; a row whose ``ref`` is 0 stays as it is.
+
+    ``ref`` holds one complex value per row of ``arr`` (the leading axes).
+    """
+    ref = np.asarray(ref, dtype=np.complex128)[..., None]
+    mag = np.abs(ref)
+    turn = np.divide(ref.conjugate(), mag, out=np.ones_like(ref), where=mag != 0.0)
+    return np.where(mag != 0.0, arr * turn, arr)
+
+
 def gauge_fix(psi) -> np.ndarray:
     """Rotate a complex vector so its largest-amplitude bin is real positive.
 
     The same convention reconstruction uses; apply it to a prepared state
-    before comparing phase envelopes bin by bin.
+    before comparing phase envelopes bin by bin. Works on each row of an
+    (..., N) block; an all-zero row is returned unchanged.
     """
     arr = np.asarray(psi, dtype=np.complex128)
-    peak = int(np.argmax(np.abs(arr)))
-    if abs(arr[peak]) == 0.0:
-        return arr.copy()
-    return arr * (arr[peak].conjugate() / abs(arr[peak]))
+    peak = np.argmax(np.abs(arr), axis=-1)[..., None]
+    return _rotate_to_real(arr, np.take_along_axis(arr, peak, axis=-1)[..., 0])

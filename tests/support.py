@@ -1,9 +1,20 @@
-"""Shared helpers for the test suite: random states and the independent
-direct-expansion oracle the pipeline is checked against."""
+"""Shared helpers for the test suite: random states, the independent
+direct-expansion oracle the pipeline is checked against, and the per-scan
+finishing and scoring formulas the block code is checked against."""
+
+import math
 
 import numpy as np
 
-from qquench import BasisGrid, make_state
+from qquench import (
+    BasisGrid,
+    ReconstructionResult,
+    amplitude_nodes,
+    make_state,
+    phase_envelope,
+)
+from qquench.fidelity import resolution_floor
+from qquench.reconstruct import FOLD_ATTR_ABS, FOLD_ATTR_REL, FOLD_SUM_TOL, NODE_TOL
 
 
 def random_state(grid: BasisGrid, rng, avoid_nodes: bool = False):
@@ -71,3 +82,72 @@ def scaled_amplitudes(psi, overlaps):
     psi = np.asarray(psi, dtype=np.complex128)
     overlaps = np.asarray(overlaps, dtype=np.complex128)
     return psi * overlaps / (overlaps @ psi)
+
+
+# The per-scan finishing and scoring formulas as they stood before both became
+# block operations: BLAS norm and dot products, and envelope sums over the
+# compressed valid bins. The block code must match them within a few ulp.
+
+def _reference_detect_folds(raw, ok):
+    total = complex(raw.sum()) / 4.0
+    if abs(total - 1.0) <= FOLD_SUM_TOL:
+        return
+    deficit = 4.0 * (1.0 - total.real)
+    if deficit <= 0:
+        ok[:] = False
+        return
+    explained = 4.0 - 2.0 * raw.real
+    window = max(FOLD_ATTR_ABS, FOLD_ATTR_REL * deficit)
+    candidates = np.abs(explained - deficit) <= window
+    if np.any(candidates):
+        ok[candidates] = False
+    else:
+        ok[:] = False
+
+
+def reference_reconstruct_inverted(grid, re, im, branch_ok, overlaps=None):
+    """One scan's fold check, normalization and gauge, written per scan."""
+    raw = re + 1j * im
+    ok = np.array(branch_ok, dtype=bool, copy=True)
+    _reference_detect_folds(raw, ok)
+    scaled = raw if overlaps is None else raw / np.asarray(overlaps, dtype=np.complex128)
+    norm = float(np.linalg.norm(scaled))
+    if norm == 0.0:
+        psi = np.zeros(grid.size, dtype=np.complex128)
+        ok[:] = False
+    else:
+        psi = scaled / norm
+        peak = int(np.argmax(np.abs(psi)))
+        psi = psi * (psi[peak].conjugate() / abs(psi[peak]))
+    return ReconstructionResult(grid=grid, raw_re=re, raw_im=im, psi=psi,
+                                amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
+                                branch_ok=ok, nodes=amplitude_nodes(psi))
+
+
+def _reference_correlation(x, y, degenerate_by_cosine):
+    if x.size == 0:
+        return 1.0
+    sx = float(np.sum(x * x))
+    sy = float(np.sum(y * y))
+    if sx == 0.0 or sy == 0.0:
+        return float(np.mean(np.cos(x - y))) if degenerate_by_cosine else 0.0
+    return float(np.sum(x * y) / math.sqrt(sx * sy))
+
+
+def reference_score(result, state, noise=None):
+    """One reconstruction's scores, written per scan: (f_w, f_p, f_a, valid_bins)."""
+    psi_in = np.asarray(state.amplitudes, dtype=np.complex128)
+    a = result.psi
+    na, nb = np.linalg.norm(a), np.linalg.norm(psi_in)
+    overall = 0.0 if na == 0.0 or nb == 0.0 else float(abs(np.vdot(a, psi_in)) / (na * nb))
+    z = np.vdot(psi_in, result.psi)
+    psi_rec = result.psi * (z.conjugate() / abs(z)) if abs(z) > 0 else result.psi
+    valid = result.branch_ok & ~result.nodes & (np.abs(psi_in) >= NODE_TOL)
+    floor = resolution_floor(noise)
+    if floor > 0.0:
+        valid &= np.hypot(result.raw_re, result.raw_im) >= floor
+    phase = _reference_correlation(phase_envelope(psi_rec)[valid],
+                                   phase_envelope(psi_in)[valid], True)
+    amplitude = _reference_correlation(result.amplitude_env[valid],
+                                       np.abs(psi_in)[valid], False)
+    return overall, phase, amplitude, valid

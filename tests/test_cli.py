@@ -240,6 +240,34 @@ def test_config_file_rejects_unknown_keys(tmp_path, wave_csv):
                "--out", str(tmp_path / "m.csv")) == 12
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("sweep", '{"trials": 2.5, "seeds": 2.9}'),
+    ("sweep", '{"seeds": true, "sigma": 0.0}'),
+    ("sweep", '{"seeds": 3.0}'),
+    ("scan", '{"trials": 2.5}'),
+    ("prepare", '{"bins": 8.7}'),
+    ("prepare", '{"bins": "8"}'),
+])
+def test_config_file_rejects_non_integer_counts(tmp_path, wave_csv, command, payload):
+    # as flags these values exit 2; from the config they must not be truncated
+    config = tmp_path / "conf.json"
+    config.write_text(payload)
+    source = ["--waveform", "gaussian_flat_phase"] if command == "prepare" \
+        else ["--input", str(wave_csv)]
+    out = tmp_path / "out.csv"
+    assert run(command, *source, "--config", str(config), "--out", str(out)) == 12
+    assert not out.exists()
+
+
+def test_config_file_accepts_integer_counts(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text('{"bins": 8}')
+    out = tmp_path / "wave.csv"
+    assert run("prepare", "--waveform", "gaussian_flat_phase", "--config", str(config),
+               "--out", str(out)) == 0
+    assert len(out.read_text().strip().split("\n")) == 9
+
+
 def test_missing_out_flag(tmp_path, wave_csv):
     assert run("scan", "--input", str(wave_csv)) == 12
 
