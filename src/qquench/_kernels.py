@@ -13,7 +13,7 @@ import numpy as np
 from . import rng
 
 # Trials are summed in chunks of _TRIAL_CHUNK and each chunk over blocks of
-# about _BLOCK_DRAWS draws (256 KB of float64 per temporary), so the working
+# about _BLOCK_DRAWS draws (a 3 x 256 KB workspace per chunk), so the working
 # set stays fixed whatever (N, depths, trials) is. Both are constants: a cell
 # sums the same contiguous trial chunk pairwise and adds its chunks in the
 # same order for any block size, so the output bits never depend on memory.
@@ -47,12 +47,19 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
     acc = np.zeros(base.shape[0])
     for start in range(0, trials, _TRIAL_CHUNK):
         ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
-        rows = max(1, _BLOCK_DRAWS // ctrs.size)
+        words = rng.counter_words(ctrs)
+        rows = max(1, min(acc.size, _BLOCK_DRAWS // ctrs.size))
+        # one workspace for every block of the chunk: fresh temporaries per
+        # block would let the allocator return their pages to the system and
+        # fault them in again on the next block
+        work = np.empty((3, rows, ctrs.size), dtype=np.uint64)
         for lo in range(0, acc.size, rows):
-            cells = slice(lo, lo + rows)
-            draws = base[cells] + sigma_abs * rng.normals(key_col[cells], ctrs)
+            hi = min(lo + rows, acc.size)
+            draws = rng.normals_into(key_col[lo:hi], words, work[:, :hi - lo])
+            draws *= sigma_abs
+            draws += base[lo:hi]
             np.maximum(draws, 0.0, out=draws)
-            acc[cells] += draws.sum(axis=1)
+            acc[lo:hi] += draws.sum(axis=1)
     return (acc / trials).reshape(pr_true.shape)
 
 

@@ -154,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--origin", type=float, default=None,
                      help="grid origin for CSV maps (default 0)")
     rec.add_argument("--selector", default=None,
-                     help="selector used in the scan, to undo its overlaps")
+                     help="selector used in the scan, to undo its overlaps "
+                          "(default: the one a JSON map records, else uniform)")
     rec.add_argument("--reference", metavar="FILE", default=None,
                      help="waveform file to print overall fidelity against")
     add_common(rec)
@@ -235,8 +236,8 @@ def _state_from_args(args):
     return builtin_waveform(args.waveform, _grid_from_args(args))
 
 
-def _selector_from_args(args, grid):
-    text = "uniform" if args.selector is None else str(args.selector)
+def _selector_from_text(text, grid):
+    text = "uniform" if text is None else str(text)
     if text == "uniform":
         return uniform_post_selector(grid)
     match = re.fullmatch(r"dft:([+-]?\d+)", text)
@@ -263,7 +264,7 @@ def cmd_prepare(args) -> int:
 def cmd_scan(args) -> int:
     state = _state_from_args(args)
     depths = tuple(args.theta) if args.theta else DEFAULT_SCAN_DEPTHS
-    selector = _selector_from_args(args, state.grid)
+    selector = _selector_from_text(args.selector, state.grid)
     noise = _noise_from_args(args)
     rmap = scan(state, selector, depths, noise)
     out = _require_out(args)
@@ -277,9 +278,17 @@ def cmd_reconstruct(args) -> int:
     bin_width = DEFAULT_BIN_WIDTH if args.bin_width is None else float(args.bin_width)
     origin = 0.0 if args.origin is None else float(args.origin)
     rmap = qio.load_response_map(args.input, bin_width=bin_width, origin=origin)
+    # a JSON map names the selector its scan used; an explicit one must agree
+    text = args.selector
+    recorded = rmap.meta.get("selector")
+    if recorded is not None:
+        if text is not None and _selector_from_text(text, rmap.grid).label != recorded:
+            raise ValueError(f"--selector {text} disagrees with the selector "
+                             f"{recorded!r} that {args.input} was scanned with")
+        text = recorded
     overlaps = None
-    if args.selector is not None and args.selector != "uniform":
-        overlaps = _selector_from_args(args, rmap.grid).overlaps
+    if text is not None and text != "uniform":
+        overlaps = _selector_from_text(text, rmap.grid).overlaps
     result = reconstruct_wavefunction(rmap, overlaps=overlaps)
     out = _require_out(args)
     qio.save_reconstruction(out, result, args.format)
@@ -295,7 +304,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     state = _state_from_args(args)
     depths = tuple(args.theta) if args.theta else DEFAULT_SWEEP_DEPTHS
-    selector = _selector_from_args(args, state.grid)
+    selector = _selector_from_text(args.selector, state.grid)
     noise = _noise_from_args(args)
     n_seeds = DEFAULT_SWEEP_SEEDS if args.seeds is None else int(args.seeds)
     sweep = depth_sweep(state, selector, depths, noise, n_seeds=n_seeds)

@@ -1,10 +1,15 @@
 """File formats for waveforms, response maps, reconstructions, and sweeps.
 
 Every format exists as CSV (flat, plot-friendly) and JSON (self-describing).
-Floats are written with 17 significant digits so a write-then-read cycle
-reproduces the double exactly. All writes are atomic: content goes to a
-temporary file in the destination directory first and is renamed into
-place, so a crash never leaves a half-written file behind.
+A JSON file is one object on one line whose ``format`` tag names the
+artifact and the layout version, e.g. ``"qquench.response_map/2"``; every
+array in it is a column (a list, or an N x D list of lists). A JSON file
+without a ``format`` tag is read as version 1, the per-bin record layout
+of earlier releases. CSV floats are written with 17 significant digits and
+JSON floats as their shortest repr, so a write-then-read cycle reproduces
+every double exactly. All writes are atomic: content goes to a temporary
+file in the destination directory first and is renamed into place, so a
+crash never leaves a half-written file behind.
 
 The response-map and reconstruction CSVs carry no grid metadata (their
 columns are the plotting quantities only); the JSON mirrors do. CSV loaders
@@ -15,7 +20,6 @@ grid.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import os
 import tempfile
@@ -84,12 +88,19 @@ def resolve_format(path, fmt: str | None) -> str:
     return "json" if suffix == ".json" else "csv"
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _floats(values) -> list:
+    """An array's doubles as a flat list of Python floats."""
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
+
+
+def _fmt_column(values) -> list:
+    """One CSV column: every double with 17 significant digits."""
+    return [format(v, ".17g") for v in _floats(values)]
+
+
+def _csv_text(header: Sequence[str], columns) -> str:
+    """The header line, then one line per row read across equal-length ``columns``."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _read_csv(path, header: Sequence[str]):
@@ -110,10 +121,6 @@ def _read_columns(path, header: Sequence[str]) -> dict:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _parse_bool(text: str) -> bool:
     key = text.strip().lower()
     if key == "true":
@@ -121,6 +128,91 @@ def _parse_bool(text: str) -> bool:
     if key == "false":
         return False
     raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _format_tag(artifact: str) -> str:
+    return f"qquench.{artifact}/2"
+
+
+def _write_json(path, artifact: str, payload: dict) -> None:
+    """Write a v2 JSON artifact in one line; without ``indent`` the C encoder runs."""
+    text = json.dumps({"format": _format_tag(artifact), **payload}) + "\n"
+    atomic_write_text(path, text)
+
+
+def _read_json(path, artifact: str):
+    """Load a JSON artifact: ``(payload, True)`` for v2, ``(payload, False)`` for v1.
+
+    A v1 file has no ``format`` tag; any tag other than this artifact's v2
+    tag is rejected.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    tag = payload.get("format")
+    if tag is None:
+        return payload, False
+    if tag != _format_tag(artifact):
+        raise ValueError(f"{path}: unsupported format {tag!r}; "
+                         f"a {artifact} file is {_format_tag(artifact)!r}")
+    return payload, True
+
+
+def _field(path, payload: dict, name: str):
+    if name not in payload:
+        raise ValueError(f"{path}: missing field {name!r}")
+    return payload[name]
+
+
+def _number(path, payload: dict, name: str, kind=float):
+    value = _field(path, payload, name)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: field {name!r} must be a number, got {value!r}") from None
+
+
+def _column(path, payload: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``payload[name]`` as an array of ``shape``; a None in ``shape`` takes any length.
+
+    A ragged column, or one whose length differs from the bin or depth
+    count, raises ``ValueError``.
+    """
+    try:
+        col = np.array(_field(path, payload, name), dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: column {name!r} is not an array of numbers ({exc})") from None
+    if col.ndim != len(shape) or any(want is not None and got != want
+                                     for got, want in zip(col.shape, shape)):
+        expected = tuple("N" if want is None else want for want in shape)
+        raise ValueError(f"{path}: column {name!r} has shape {col.shape}, expected {expected}")
+    return col
+
+
+def _json_grid(path, payload: dict, size: int) -> BasisGrid:
+    origin = _number(path, payload, "origin") if "origin" in payload else 0.0
+    return BasisGrid(size=size, bin_width=_number(path, payload, "bin_width"), origin=origin)
+
+
+def _bin_major(path, what: str, table: np.ndarray) -> np.ndarray:
+    """Group rows ``[bin, theta, ...]`` by bin into an (N, D, columns) block.
+
+    Rows are sorted by bin in a stable order, so each bin keeps its own
+    depth order, which must equal every other bin's; the bins must be
+    0..N-1, each with the same number of rows.
+    """
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    if table.size == 0 or table[0, 0] != 0:
+        raise ValueError(f"{path}: {what} must cover bins 0..N-1")
+    counts = np.bincount(table[:, 0].astype(np.int64))
+    if np.any(counts != counts[0]):
+        raise ValueError(f"{path}: {what} must cover bins 0..N-1 "
+                         "with the same number of depths each")
+    block = table.reshape(counts.size, counts[0], table.shape[1])
+    if np.any(block[..., 1] != block[0, :, 1]):
+        raise ValueError(f"{path}: bins of the {what} differ in their depths")
+    return block
 
 
 # -- waveform files ---------------------------------------------------------
@@ -132,19 +224,16 @@ def save_waveform(path, state: WavefunctionState, fmt: str | None = None) -> Non
     amps = np.abs(state.amplitudes)
     phases = phase_envelope(state.amplitudes)
     if fmt == "csv":
-        rows = ((fmt_float(t), fmt_float(a), fmt_float(ph))
-                for t, a, ph in zip(times, amps, phases))
-        atomic_write_text(path, _csv_text(WAVEFORM_FIELDS, rows))
+        columns = [_fmt_column(c) for c in (times, amps, phases)]
+        atomic_write_text(path, _csv_text(WAVEFORM_FIELDS, columns))
         return
-    payload = {
+    _write_json(path, "waveform", {
         "bin_width": state.grid.bin_width,
         "origin": state.grid.origin,
-        "samples": [
-            {"t": float(t), "amp": float(a), "phase": float(ph)}
-            for t, a, ph in zip(times, amps, phases)
-        ],
-    }
-    atomic_write_text(path, _json_text(payload))
+        "t": _floats(times),
+        "amp": _floats(amps),
+        "phase": _floats(phases),
+    })
 
 
 def _grid_from_times(times: np.ndarray) -> BasisGrid:
@@ -167,14 +256,16 @@ def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
         grid = _grid_from_times(data[:, 0])
         amps, phases = data[:, 1], data[:, 2]
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        samples = payload["samples"]
-        grid = BasisGrid(size=len(samples),
-                         bin_width=float(payload["bin_width"]),
-                         origin=float(payload.get("origin", 0.0)))
-        amps = np.array([float(s["amp"]) for s in samples])
-        phases = np.array([float(s["phase"]) for s in samples])
+        payload, v2 = _read_json(path, "waveform")
+        if v2:
+            amps = _column(path, payload, "amp", (None,))
+            phases = _column(path, payload, "phase", amps.shape)
+            _column(path, payload, "t", amps.shape)
+        else:
+            samples = payload["samples"]
+            amps = np.array([float(s["amp"]) for s in samples])
+            phases = np.array([float(s["phase"]) for s in samples])
+        grid = _json_grid(path, payload, amps.size)
     if np.any(amps < 0):
         raise ValueError("waveform amplitude column must be >= 0")
     return make_state(grid, amps * np.exp(1j * phases))
@@ -183,60 +274,43 @@ def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
 # -- response-map files -----------------------------------------------------
 
 def save_response_map(path, rmap: ResponseMap, fmt: str | None = None) -> None:
+    """Write a response map; JSON also records the grid and ``rmap.meta``."""
     fmt = resolve_format(path, fmt)
-    pr, p = rmap.pr.tolist(), rmap.p.tolist()
     if fmt == "csv":
-        p0 = fmt_float(rmap.p0)
-        thetas = [fmt_float(t) for t in rmap.depths]
-        rows = (
-            (str(n), theta, p0, fmt_float(pr_nd), fmt_float(p_nd))
-            for n, (pr_n, p_n) in enumerate(zip(pr, p))
-            for theta, pr_nd, p_nd in zip(thetas, pr_n, p_n)
-        )
-        atomic_write_text(path, _csv_text(RESPONSE_FIELDS, rows))
+        n, d = rmap.pr.shape
+        columns = [
+            [str(u) for u in range(n) for _ in range(d)],
+            _fmt_column(rmap.depths) * n,
+            _fmt_column([rmap.p0]) * (n * d),
+            _fmt_column(rmap.pr),
+            _fmt_column(rmap.p),
+        ]
+        atomic_write_text(path, _csv_text(RESPONSE_FIELDS, columns))
         return
-    payload = {
+    from . import __version__  # the package finishes importing io before it sets this
+
+    _write_json(path, "response_map", {
+        "meta": {**rmap.meta, "version": __version__},
         "bin_width": rmap.grid.bin_width,
         "origin": rmap.grid.origin,
         "depths": list(rmap.depths),
-        "records": [
-            {
-                "bin": n,
-                "P0": rmap.p0,
-                "entries": [
-                    {"theta": t, "Pr": pr_nd, "p": p_nd}
-                    for t, pr_nd, p_nd in zip(rmap.depths, pr_n, p_n)
-                ],
-            }
-            for n, (pr_n, p_n) in enumerate(zip(pr, p))
-        ],
-    }
-    atomic_write_text(path, _json_text(payload))
+        "p0": rmap.p0,
+        "pr": rmap.pr.tolist(),
+        "p": rmap.p.tolist(),
+    })
 
 
 def _response_map(path, rows, bin_width, origin) -> ResponseMap:
     """Build a map from rows ``[bin, theta, P0, Pr, p]``, one per measurement.
 
-    Rows are grouped by bin in a stable order, so each bin keeps its own
-    depth order, which must equal every other bin's; the map holds one
-    baseline, so every row must carry the same P0.
+    The map holds one baseline, so every row must carry the same P0.
     """
-    rows = np.array(rows, dtype=np.float64).reshape(-1, 5)
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    if rows.size == 0 or rows[0, 0] != 0:
-        raise ValueError(f"{path}: response map must cover bins 0..N-1")
-    counts = np.bincount(rows[:, 0].astype(np.int64))
-    if np.any(counts != counts[0]):
-        raise ValueError(f"{path}: response map must cover bins 0..N-1 "
-                         "with the same number of depths each")
-    block = rows.reshape(counts.size, counts[0], 5)
-    thetas, p0 = block[..., 1], block[..., 2]
-    if np.any(thetas != thetas[0]):
-        raise ValueError(f"{path}: bins of the response map differ in their depths")
+    block = _bin_major(path, "response map", np.array(rows, dtype=np.float64).reshape(-1, 5))
+    p0 = block[..., 2]
     if np.any(p0 != p0[0, 0]):
         raise ValueError(f"{path}: bins of the response map differ in their baseline P0")
-    return ResponseMap(grid=BasisGrid(size=counts.size, bin_width=bin_width, origin=origin),
-                       depths=tuple(thetas[0].tolist()), pr=block[..., 3], p=block[..., 4],
+    return ResponseMap(grid=BasisGrid(size=block.shape[0], bin_width=bin_width, origin=origin),
+                       depths=tuple(block[0, :, 1].tolist()), pr=block[..., 3], p=block[..., 4],
                        p0=p0[0, 0])
 
 
@@ -250,8 +324,18 @@ def load_response_map(path, fmt: str | None = None,
                 for row in _read_csv(path, RESPONSE_FIELDS)]
         return _response_map(path, rows, bin_width, origin)
 
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload, v2 = _read_json(path, "response_map")
+    if v2:
+        depths = _column(path, payload, "depths", (None,))
+        pr = _column(path, payload, "pr", (None, depths.size))
+        p = _column(path, payload, "p", pr.shape)
+        meta = _field(path, payload, "meta")
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: meta must be a JSON object")
+        return ResponseMap(grid=_json_grid(path, payload, pr.shape[0]),
+                           depths=tuple(depths.tolist()), pr=pr, p=p,
+                           p0=_number(path, payload, "p0"), meta=meta)
+
     rows = [[int(rec["bin"]), float(e["theta"]), float(rec["P0"]), float(e["Pr"]),
              float(e["p"])] for rec in payload["records"] for e in rec["entries"]]
     rmap = _response_map(path, rows, float(payload["bin_width"]),
@@ -267,38 +351,29 @@ def save_reconstruction(path, result: ReconstructionResult,
                         fmt: str | None = None) -> None:
     """Write per-bin inversion output; re/im are the raw unnormalized values."""
     fmt = resolve_format(path, fmt)
-    times = result.grid.times()
     abs2 = result.amplitude_env**2
+    branch_ok = np.asarray(result.branch_ok, dtype=bool).tolist()
     if fmt == "csv":
-        rows = (
-            (str(u), fmt_float(times[u]), fmt_float(result.raw_re[u]),
-             fmt_float(result.raw_im[u]), fmt_float(abs2[u]),
-             fmt_float(result.phase_env[u]),
-             "true" if result.branch_ok[u] else "false")
-            for u in range(result.grid.size)
-        )
-        atomic_write_text(path, _csv_text(RECON_FIELDS, rows))
+        columns = [
+            [str(u) for u in range(result.grid.size)],
+            *map(_fmt_column, (result.grid.times(), result.raw_re, result.raw_im, abs2,
+                               result.phase_env)),
+            ["true" if ok else "false" for ok in branch_ok],
+        ]
+        atomic_write_text(path, _csv_text(RECON_FIELDS, columns))
         return
-    payload = {
+    psi = np.asarray(result.psi, dtype=np.complex128)
+    _write_json(path, "reconstruction", {
         "bin_width": result.grid.bin_width,
         "origin": result.grid.origin,
-        "bins": [
-            {
-                "bin": u,
-                "t": float(times[u]),
-                "re": float(result.raw_re[u]),
-                "im": float(result.raw_im[u]),
-                "abs2": float(abs2[u]),
-                "phase": float(result.phase_env[u]),
-                "branch_ok": bool(result.branch_ok[u]),
-            }
-            for u in range(result.grid.size)
-        ],
-        "psi": [
-            {"re": float(z.real), "im": float(z.imag)} for z in result.psi
-        ],
-    }
-    atomic_write_text(path, _json_text(payload))
+        "re": _floats(result.raw_re),
+        "im": _floats(result.raw_im),
+        "abs2": _floats(abs2),
+        "phase": _floats(result.phase_env),
+        "branch_ok": branch_ok,
+        "psi_re": _floats(psi.real),
+        "psi_im": _floats(psi.imag),
+    })
 
 
 def load_reconstruction(path, fmt: str | None = None,
@@ -312,18 +387,26 @@ def load_reconstruction(path, fmt: str | None = None,
     """
     fmt = resolve_format(path, fmt)
     if fmt == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        bins = payload["bins"]
-        grid = BasisGrid(size=len(bins),
-                         bin_width=float(payload["bin_width"]),
-                         origin=float(payload.get("origin", 0.0)))
-        raw_re = np.array([float(b["re"]) for b in bins])
-        raw_im = np.array([float(b["im"]) for b in bins])
-        branch_ok = np.array([bool(b["branch_ok"]) for b in bins])
-        psi = np.array([complex(z["re"], z["im"]) for z in payload["psi"]])
+        payload, v2 = _read_json(path, "reconstruction")
+        if v2:
+            raw_re = _column(path, payload, "re", (None,))
+            raw_im, _, _, psi_re, psi_im = (
+                _column(path, payload, name, raw_re.shape)
+                for name in ("im", "abs2", "phase", "psi_re", "psi_im"))
+            branch_ok = _column(path, payload, "branch_ok", raw_re.shape, dtype=bool)
+            psi = np.empty(raw_re.shape, dtype=np.complex128)
+            psi.real, psi.imag = psi_re, psi_im
+        else:
+            bins = payload["bins"]
+            if len(payload["psi"]) != len(bins):
+                raise ValueError(f"{path}: psi has {len(payload['psi'])} entries "
+                                 f"for {len(bins)} bins")
+            raw_re = np.array([float(b["re"]) for b in bins])
+            raw_im = np.array([float(b["im"]) for b in bins])
+            branch_ok = np.array([bool(b["branch_ok"]) for b in bins])
+            psi = np.array([complex(z["re"], z["im"]) for z in payload["psi"]])
         return ReconstructionResult(
-            grid=grid, raw_re=raw_re, raw_im=raw_im, psi=psi,
+            grid=_json_grid(path, payload, raw_re.size), raw_re=raw_re, raw_im=raw_im, psi=psi,
             amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
             branch_ok=branch_ok, nodes=amplitude_nodes(psi),
         )
@@ -340,27 +423,17 @@ def load_reconstruction(path, fmt: str | None = None,
 def save_sweep_fidelity(path, sweep, fmt: str | None = None) -> None:
     """Write the per-depth fidelity statistics table."""
     fmt = resolve_format(path, fmt)
+    stats = [getattr(sweep, name) for name in SWEEP_FIELDS[2:]]
     if fmt == "csv":
-        rows = (
-            (fmt_float(sweep.depths[d]), str(sweep.seed_count),
-             fmt_float(sweep.fw_mean[d]), fmt_float(sweep.fw_std[d]),
-             fmt_float(sweep.fp_mean[d]), fmt_float(sweep.fp_std[d]),
-             fmt_float(sweep.fa_mean[d]), fmt_float(sweep.fa_std[d]))
-            for d in range(sweep.depths.size)
-        )
-        atomic_write_text(path, _csv_text(SWEEP_FIELDS, rows))
+        columns = [_fmt_column(sweep.depths), [str(sweep.seed_count)] * sweep.depths.size,
+                   *map(_fmt_column, stats)]
+        atomic_write_text(path, _csv_text(SWEEP_FIELDS, columns))
         return
-    payload = {
-        "seed_count": sweep.seed_count,
-        "depths": [float(t) for t in sweep.depths],
-        "fw_mean": [float(v) for v in sweep.fw_mean],
-        "fw_std": [float(v) for v in sweep.fw_std],
-        "fp_mean": [float(v) for v in sweep.fp_mean],
-        "fp_std": [float(v) for v in sweep.fp_std],
-        "fa_mean": [float(v) for v in sweep.fa_mean],
-        "fa_std": [float(v) for v in sweep.fa_std],
-    }
-    atomic_write_text(path, _json_text(payload))
+    _write_json(path, "sweep_fidelity", {
+        "seed_count": int(sweep.seed_count),
+        "depths": _floats(sweep.depths),
+        **{name: _floats(col) for name, col in zip(SWEEP_FIELDS[2:], stats)},
+    })
 
 
 def save_sweep_map(path, sweep, fmt: str | None = None) -> None:
@@ -368,54 +441,45 @@ def save_sweep_map(path, sweep, fmt: str | None = None) -> None:
     fmt = resolve_format(path, fmt)
     mags = sweep.response_magnitudes
     if fmt == "csv":
-        rows = (
-            (str(u), fmt_float(sweep.depths[d]), fmt_float(mags[u, d]))
-            for u in range(mags.shape[0])
-            for d in range(sweep.depths.size)
-        )
-        atomic_write_text(path, _csv_text(MAP_FIELDS, rows))
+        n, d = mags.shape
+        columns = [[str(u) for u in range(n) for _ in range(d)],
+                   _fmt_column(sweep.depths) * n, _fmt_column(mags)]
+        atomic_write_text(path, _csv_text(MAP_FIELDS, columns))
         return
-    payload = {
+    _write_json(path, "sweep_map", {
         "bin_width": sweep.grid.bin_width,
         "origin": sweep.grid.origin,
-        "depths": [float(t) for t in sweep.depths],
-        "magnitudes": [[float(v) for v in row] for row in mags],
-    }
-    atomic_write_text(path, _json_text(payload))
+        "depths": _floats(sweep.depths),
+        "magnitudes": np.asarray(mags, dtype=np.float64).tolist(),
+    })
 
 
 def load_sweep_fidelity(path, fmt: str | None = None) -> dict:
     """Read a fidelity table back as a dict of column arrays."""
-    if resolve_format(path, fmt) == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        cols = {name: payload[name] for name in SWEEP_FIELDS[2:]}
-        cols["theta"] = payload["depths"]
-        cols["seed_count"] = [payload["seed_count"]] * len(payload["depths"])
-    else:
+    if resolve_format(path, fmt) == "csv":
         cols = _read_columns(path, SWEEP_FIELDS)
-    out = {name: np.array([float(v) for v in cols[name]]) for name in SWEEP_FIELDS}
-    out["seed_count"] = np.array([int(v) for v in cols["seed_count"]], dtype=np.int64)
+        out = {name: np.array([float(v) for v in cols[name]]) for name in SWEEP_FIELDS}
+        out["seed_count"] = np.array([int(v) for v in cols["seed_count"]], dtype=np.int64)
+        return out
+    # v1 and v2 share the columnar layout; v2 only adds the tag
+    payload, _ = _read_json(path, "sweep_fidelity")
+    depths = _column(path, payload, "depths", (None,))
+    out = {"theta": depths,
+           "seed_count": np.full(depths.size, _number(path, payload, "seed_count", int),
+                                 dtype=np.int64)}
+    out.update((name, _column(path, payload, name, depths.shape)) for name in SWEEP_FIELDS[2:])
     return out
 
 
 def load_sweep_map(path, fmt: str | None = None) -> dict:
     """Read a magnitude map back as a dict with bins, depths, magnitudes."""
-    fmt = resolve_format(path, fmt)
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        mags = np.array(payload["magnitudes"], dtype=np.float64)
-        return {
-            "bin": np.arange(mags.shape[0]),
-            "theta": np.array(payload["depths"], dtype=np.float64),
-            "abs_p": mags,
-        }
+    if resolve_format(path, fmt) == "json":
+        payload, _ = _read_json(path, "sweep_map")
+        depths = _column(path, payload, "depths", (None,))
+        mags = _column(path, payload, "magnitudes", (None, depths.size))
+        return {"bin": np.arange(mags.shape[0]), "theta": depths, "abs_p": mags}
     rows = _read_csv(path, MAP_FIELDS)
-    bins = np.array([int(r[0]) for r in rows])
-    thetas = np.array([float(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    uniq_bins = np.unique(bins)
-    uniq_thetas = thetas[bins == uniq_bins[0]]
-    mags = values.reshape(uniq_bins.size, uniq_thetas.size)
-    return {"bin": uniq_bins, "theta": uniq_thetas, "abs_p": mags}
+    table = np.array([[int(r[0]), float(r[1]), float(r[2])] for r in rows],
+                     dtype=np.float64).reshape(-1, 3)
+    block = _bin_major(path, "magnitude map", table)
+    return {"bin": np.arange(block.shape[0]), "theta": block[0, :, 1], "abs_p": block[..., 2]}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,10 @@ class ResponseMap:
 
     ``pr[n, d]`` is the measured probability after quenching bin ``n`` by
     ``depths[d]``, ``p[n, d] = 1 - pr[n, d] / p0`` its response factor, and
-    ``p0`` the measured baseline that every bin shares.
+    ``p0`` the measured baseline that every bin shares. ``meta`` records how
+    the map was made: :func:`scan` fills in the selector label, seed, sigma
+    and trials, and a map loaded from JSON also holds the package version
+    that wrote it. It is empty by default.
     """
 
     grid: BasisGrid
@@ -84,6 +87,7 @@ class ResponseMap:
     pr: np.ndarray
     p: np.ndarray
     p0: float
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(float(t) for t in self.depths))
@@ -95,6 +99,7 @@ class ResponseMap:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "p0", float(self.p0))
+        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def baseline_p0(self) -> float:
@@ -216,4 +221,6 @@ def scan(
     """
     depths = tuple(float(t) for t in depths)
     p0, pr, p = measure_seeds(state, selector, depths, noise, [noise.seed])
-    return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p=p[0], p0=p0[0])
+    meta = {"selector": selector.label, "seed": noise.seed,
+            "sigma": float(noise.relative_sigma), "trials": int(noise.trials)}
+    return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p=p[0], p0=p0[0], meta=meta)

@@ -6,8 +6,8 @@ A draw depends only on (seed, bin, depth, trial), never on call order, which
 makes scans reproducible and trivially parallelizable.
 
 Key blocks (``derive_keys``, ``key_matrix``, for one seed or an array of
-them) and all draws (``normals``) run on one vectorized mixer over numpy
-uint64 arrays. The pure-Python ``mix64`` derives single keys
+them) and all draws (``normals``, or ``normals_into`` a reused workspace)
+run on one vectorized mixer over numpy uint64 arrays. The pure-Python ``mix64`` derives single keys
 (``derive_key``, ``stream_key``) and, with ``normal``, is the reference the
 tests hold the vectorized path to: the integer outputs are bit-identical,
 and the float normals agree to the last ulp or so because numpy's
@@ -30,6 +30,13 @@ MIX2 = 0x94D049BB133111EB
 # Salts separating the counter word and the Box-Muller pair word.
 CTR_SALT = 0x5851F42D4C957F2D
 PAIR_SALT = 0x14057B7EF767814F
+
+# The same constants as numpy scalars, built once: a small scan draws its
+# noise in blocks of tens of microseconds, where building them on every
+# call was a measurable share.
+_GOLD_U64, _MIX1_U64, _MIX2_U64 = np.uint64(GOLD), np.uint64(MIX1), np.uint64(MIX2)
+_CTR_SALT_U64, _PAIR_SALT_U64 = np.uint64(CTR_SALT), np.uint64(PAIR_SALT)
+_SHIFTS = {n: np.uint64(n) for n in (11, 27, 30, 31)}
 
 _TWO_NEG53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
@@ -112,10 +119,21 @@ def normal(key: int, counter: int) -> float:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z + np.uint64(GOLD)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`mix64` over a uint64 array, into a new array."""
+    z = np.array(z, dtype=np.uint64)
+    return _mix64_inplace(z, np.empty_like(z))
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over ``z`` in place, with ``tmp`` (same shape) as scratch."""
+    np.add(z, _GOLD_U64, out=z)
+    for shift, mult in ((30, _MIX1_U64), (27, _MIX2_U64)):
+        np.right_shift(z, _SHIFTS[shift], out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _SHIFTS[31], out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
 
 
 def normals(key, counters) -> np.ndarray:
@@ -126,8 +144,42 @@ def normals(key, counters) -> np.ndarray:
     """
     key = np.asarray(key, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    a = _mix64_np(key ^ _mix64_np(counters ^ np.uint64(CTR_SALT)))
-    b = _mix64_np(a ^ np.uint64(PAIR_SALT))
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
-    u2 = ((b >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    shape = np.broadcast_shapes(key.shape, counters.shape)
+    return normals_into(key, counter_words(counters),
+                        np.empty((3,) + shape, dtype=np.uint64)).copy()
+
+
+def counter_words(counters) -> np.ndarray:
+    """The half of a draw's mix that depends on the counter alone."""
+    words = np.asarray(counters, dtype=np.uint64) ^ _CTR_SALT_U64
+    return _mix64_inplace(words, np.empty_like(words))
+
+
+def normals_into(key, words, work: np.ndarray) -> np.ndarray:
+    """:func:`normals` at the counters behind ``words = counter_words(counters)``.
+
+    Every step runs in place in ``work``, a uint64 array of shape
+    ``(3,) + broadcast(key, words).shape``, so a caller that reuses one
+    workspace allocates nothing per call. Returns a float64 view of
+    ``work``; the bits equal those of :func:`normals`.
+    """
+    a, b, tmp = work[0, ...], work[1, ...], work[2, ...]  # views, also when 0-d
+    np.bitwise_xor(key, words, out=a)
+    _mix64_inplace(a, tmp)
+    np.bitwise_xor(a, _PAIR_SALT_U64, out=b)
+    _mix64_inplace(b, tmp)
+    u1, u2 = tmp.view(np.float64), a.view(np.float64)
+    np.right_shift(a, _SHIFTS[11], out=a)
+    np.copyto(u1, a, casting="unsafe")  # exact: a < 2**53
+    np.right_shift(b, _SHIFTS[11], out=b)
+    np.copyto(u2, b, casting="unsafe")  # a is spent, its memory now holds u2
+    for u in (u1, u2):
+        u += 0.5
+        u *= _TWO_NEG53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite: random states, the independent
-direct-expansion oracle the pipeline is checked against, and the per-scan
-finishing and scoring formulas the block code is checked against."""
+direct-expansion oracle the pipeline is checked against, the per-scan
+finishing and scoring formulas the block code is checked against, and the
+version 1 file writers the file formats are checked against."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -13,6 +17,7 @@ from qquench import (
     make_state,
     phase_envelope,
 )
+from qquench import rng
 from qquench.fidelity import resolution_floor
 from qquench.reconstruct import FOLD_ATTR_ABS, FOLD_ATTR_REL, FOLD_SUM_TOL, NODE_TOL
 
@@ -151,3 +156,125 @@ def reference_score(result, state, noise=None):
     amplitude = _reference_correlation(result.amplitude_env[valid],
                                        np.abs(psi_in)[valid], False)
     return overall, phase, amplitude, valid
+
+
+
+# rng.normals as it stood before it ran in place: a new array for every step.
+# The in-place mixer must give the same bits.
+
+def _reference_mix64(z):
+    z = z + np.uint64(rng.GOLD)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(rng.MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(rng.MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_normals(key, counters):
+    """Standard normals at (key, counter); both at least 1-d uint64 arrays."""
+    a = _reference_mix64(key ^ _reference_mix64(counters ^ np.uint64(rng.CTR_SALT)))
+    b = _reference_mix64(a ^ np.uint64(rng.PAIR_SALT))
+    u1 = ((a >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u2 = ((b >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+# The file writers as they stood before the v2 JSON layout and the
+# column-built CSV: JSON as per-bin records written with indent=2, CSV row by
+# row through csv.writer. v1 JSON files must still load to the same arrays,
+# and the CSV bytes must not change.
+
+def _v1_fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _v1_write(path, fmt, header, rows, payload):
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(payload, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def v1_save_waveform(path, state, fmt):
+    times = state.grid.times()
+    amps = np.abs(state.amplitudes)
+    phases = phase_envelope(state.amplitudes)
+    rows = [(_v1_fmt(t), _v1_fmt(a), _v1_fmt(ph)) for t, a, ph in zip(times, amps, phases)]
+    payload = {
+        "bin_width": state.grid.bin_width,
+        "origin": state.grid.origin,
+        "samples": [{"t": float(t), "amp": float(a), "phase": float(ph)}
+                    for t, a, ph in zip(times, amps, phases)],
+    }
+    _v1_write(path, fmt, ("t", "amplitude", "phase"), rows, payload)
+
+
+def v1_save_response_map(path, rmap, fmt):
+    pr, p = rmap.pr.tolist(), rmap.p.tolist()
+    p0 = _v1_fmt(rmap.p0)
+    thetas = [_v1_fmt(t) for t in rmap.depths]
+    rows = [(str(n), theta, p0, _v1_fmt(pr_nd), _v1_fmt(p_nd))
+            for n, (pr_n, p_n) in enumerate(zip(pr, p))
+            for theta, pr_nd, p_nd in zip(thetas, pr_n, p_n)]
+    payload = {
+        "bin_width": rmap.grid.bin_width,
+        "origin": rmap.grid.origin,
+        "depths": list(rmap.depths),
+        "records": [
+            {"bin": n, "P0": rmap.p0,
+             "entries": [{"theta": t, "Pr": pr_nd, "p": p_nd}
+                         for t, pr_nd, p_nd in zip(rmap.depths, pr_n, p_n)]}
+            for n, (pr_n, p_n) in enumerate(zip(pr, p))
+        ],
+    }
+    _v1_write(path, fmt, ("bin", "theta", "P0", "Pr", "p"), rows, payload)
+
+
+def v1_save_reconstruction(path, result, fmt):
+    times = result.grid.times()
+    abs2 = result.amplitude_env**2
+    rows = [(str(u), _v1_fmt(times[u]), _v1_fmt(result.raw_re[u]), _v1_fmt(result.raw_im[u]),
+             _v1_fmt(abs2[u]), _v1_fmt(result.phase_env[u]),
+             "true" if result.branch_ok[u] else "false")
+            for u in range(result.grid.size)]
+    payload = {
+        "bin_width": result.grid.bin_width,
+        "origin": result.grid.origin,
+        "bins": [
+            {"bin": u, "t": float(times[u]), "re": float(result.raw_re[u]),
+             "im": float(result.raw_im[u]), "abs2": float(abs2[u]),
+             "phase": float(result.phase_env[u]), "branch_ok": bool(result.branch_ok[u])}
+            for u in range(result.grid.size)
+        ],
+        "psi": [{"re": float(z.real), "im": float(z.imag)} for z in result.psi],
+    }
+    _v1_write(path, fmt, ("bin", "t", "re", "im", "abs2", "phase", "branch_ok"), rows, payload)
+
+
+SWEEP_STATS = ("fw_mean", "fw_std", "fp_mean", "fp_std", "fa_mean", "fa_std")
+
+
+def v1_save_sweep_fidelity(path, sweep, fmt):
+    rows = [(_v1_fmt(sweep.depths[d]), str(sweep.seed_count),
+             *(_v1_fmt(getattr(sweep, name)[d]) for name in SWEEP_STATS))
+            for d in range(sweep.depths.size)]
+    payload = {"seed_count": sweep.seed_count, "depths": [float(t) for t in sweep.depths],
+               **{name: [float(v) for v in getattr(sweep, name)] for name in SWEEP_STATS}}
+    _v1_write(path, fmt, ("theta", "seed_count", *SWEEP_STATS), rows, payload)
+
+
+def v1_save_sweep_map(path, sweep, fmt):
+    mags = sweep.response_magnitudes
+    rows = [(str(u), _v1_fmt(sweep.depths[d]), _v1_fmt(mags[u, d]))
+            for u in range(mags.shape[0]) for d in range(sweep.depths.size)]
+    payload = {
+        "bin_width": sweep.grid.bin_width,
+        "origin": sweep.grid.origin,
+        "depths": [float(t) for t in sweep.depths],
+        "magnitudes": [[float(v) for v in row] for row in mags],
+    }
+    _v1_write(path, fmt, ("bin", "theta", "abs_p"), rows, payload)

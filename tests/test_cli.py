@@ -1,4 +1,5 @@
 import filecmp
+import json
 import math
 import subprocess
 import sys
@@ -175,6 +176,64 @@ def test_reconstruct_round_trip_with_reference(tmp_path, wave_csv, capsys):
     assert f_w >= 1 - 1e-9
     table = load_reconstruction(rec_path)
     assert np.all(table["branch_ok"])
+
+
+def _dft3_chain(tmp_path, map_name="map.json"):
+    wave = tmp_path / "step.csv"
+    assert run("prepare", "--waveform", "square_step_phase", "--bins", "20",
+               "--out", str(wave)) == 0
+    map_path = tmp_path / map_name
+    assert run("scan", "--input", str(wave), "--sigma", "0", "--selector", "dft:3",
+               "--out", str(map_path)) == 0
+    return wave, map_path
+
+
+def _printed_f_w(capsys):
+    return float(capsys.readouterr().out.split("f_w = ")[1].split()[0])
+
+
+def test_reconstruct_takes_the_selector_from_the_map(tmp_path, capsys):
+    wave, map_path = _dft3_chain(tmp_path)
+    assert run("reconstruct", "--input", str(map_path), "--reference", str(wave),
+               "--out", str(tmp_path / "rec.json")) == 0
+    assert _printed_f_w(capsys) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("selector", ["uniform", "dft:2"])
+def test_reconstruct_rejects_a_selector_that_disagrees_with_the_map(tmp_path, capsys,
+                                                                    selector):
+    wave, map_path = _dft3_chain(tmp_path)
+    assert run("reconstruct", "--input", str(map_path), "--selector", selector,
+               "--out", str(tmp_path / "rec.json")) == 12
+    assert "dft:3" in capsys.readouterr().err
+
+
+def test_reconstruct_accepts_an_explicit_selector_that_agrees(tmp_path, capsys):
+    wave, map_path = _dft3_chain(tmp_path)
+    assert run("reconstruct", "--input", str(map_path), "--selector", "dft:+3",
+               "--reference", str(wave), "--out", str(tmp_path / "rec.json")) == 0
+    assert _printed_f_w(capsys) >= 1 - 1e-9
+
+
+def test_reconstruct_csv_map_keeps_the_selector_flag(tmp_path, capsys):
+    # a CSV map records no selector: the flag alone decides, as before
+    wave, map_path = _dft3_chain(tmp_path, "map.csv")
+    assert run("reconstruct", "--input", str(map_path), "--selector", "dft:3",
+               "--reference", str(wave), "--out", str(tmp_path / "rec.csv")) == 0
+    assert _printed_f_w(capsys) >= 1 - 1e-9
+    assert run("reconstruct", "--input", str(map_path), "--reference", str(wave),
+               "--out", str(tmp_path / "rec.csv")) == 0
+    assert _printed_f_w(capsys) < 0.5
+
+
+def test_reconstruct_unknown_format_tag(tmp_path, capsys):
+    wave, map_path = _dft3_chain(tmp_path)
+    payload = json.loads(map_path.read_text())
+    payload["format"] = "qquench.response_map/9"
+    map_path.write_text(json.dumps(payload))
+    assert run("reconstruct", "--input", str(map_path),
+               "--out", str(tmp_path / "rec.json")) == 12
+    assert "qquench.response_map/9" in capsys.readouterr().err
 
 
 def test_reconstruct_incomplete_depths(tmp_path, wave_csv):

@@ -35,6 +35,8 @@ from qquench import (
 from qquench import amplitude_nodes, phase_envelope
 from qquench.io import atomic_write_text, fmt_float, resolve_format
 
+import support
+
 QUIET = NoiseModel(relative_sigma=0.0)
 
 
@@ -192,7 +194,7 @@ def test_response_map_csv_rejects_baselines_that_differ_between_bins(tmp_path):
 
 def test_response_map_json_rejects_baselines_that_differ_between_bins(tmp_path, pipeline):
     path = tmp_path / "p0.json"
-    save_response_map(path, pipeline[1], "json")
+    support.v1_save_response_map(path, pipeline[1], "json")
     payload = json.loads(path.read_text())
     payload["records"][3]["P0"] *= 1.5
     path.write_text(json.dumps(payload))
@@ -368,3 +370,238 @@ def test_sweep_files_round_trip_exactly(tmp_path_factory, data, shape, fmt, seed
     assert np.array_equal(heat["bin"], np.arange(n))
     assert np.array_equal(heat["theta"], sweep.depths)
     assert np.array_equal(heat["abs_p"], sweep.response_magnitudes)
+
+
+# Version 2 JSON: tagged, columnar, and read next to version 1 files.
+
+def _draw_waveform(data, n, d):
+    psi = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    return make_state(_grid(n, 0.25), psi)
+
+
+def _draw_response_map(data, n, d):
+    return ResponseMap(
+        grid=_grid(n, data.draw(st.floats(1e-9, 1e3))),
+        depths=data.draw(st.lists(_finite, min_size=d, max_size=d)),
+        pr=data.draw(arrays(np.float64, (n, d), elements=_finite)),
+        p=data.draw(arrays(np.float64, (n, d), elements=_finite)),
+        p0=data.draw(_finite),
+        meta=data.draw(st.fixed_dictionaries({"selector": st.sampled_from(["uniform", "dft:3"]),
+                                              "seed": st.integers(0, 2**64 - 1)})),
+    )
+
+
+def _draw_reconstruction(data, n, d):
+    psi = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    return ReconstructionResult(
+        grid=_grid(n, 0.5),
+        raw_re=data.draw(arrays(np.float64, n, elements=_finite)),
+        raw_im=data.draw(arrays(np.float64, n, elements=_finite)),
+        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
+        branch_ok=data.draw(arrays(np.bool_, n)), nodes=amplitude_nodes(psi),
+    )
+
+
+def _draw_sweep(data, n, d):
+    return SweepResult(
+        grid=_grid(n, 0.5), depths=data.draw(arrays(np.float64, d, elements=_finite)),
+        seed_count=data.draw(st.integers(1, 64)),
+        response_magnitudes=data.draw(arrays(np.float64, (n, d), elements=_finite)),
+        **{name: data.draw(arrays(np.float64, d, elements=_finite))
+           for name in support.SWEEP_STATS})
+
+
+ARTIFACTS = {
+    "waveform": (_draw_waveform, save_waveform, support.v1_save_waveform, load_waveform),
+    "response_map": (_draw_response_map, save_response_map, support.v1_save_response_map,
+                     load_response_map),
+    "reconstruction": (_draw_reconstruction, save_reconstruction,
+                       support.v1_save_reconstruction, load_reconstruction),
+    "sweep_fidelity": (_draw_sweep, save_sweep_fidelity, support.v1_save_sweep_fidelity,
+                       load_sweep_fidelity),
+    "sweep_map": (_draw_sweep, save_sweep_map, support.v1_save_sweep_map, load_sweep_map),
+}
+
+
+def _arrays(loaded) -> dict:
+    """Every array a loaded artifact holds, by name."""
+    if isinstance(loaded, dict):
+        return loaded
+    fields = {"WavefunctionState": ("amplitudes",),
+              "ResponseMap": ("depths", "pr", "p", "p0"),
+              "ReconstructionResult": ("raw_re", "raw_im", "psi", "amplitude_env",
+                                       "phase_env", "branch_ok", "nodes")}[type(loaded).__name__]
+    grid = loaded.grid
+    return {"grid": np.array([grid.size, grid.bin_width, grid.origin]),
+            **{name: np.asarray(getattr(loaded, name)) for name in fields}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=_shape, artifact=st.sampled_from(sorted(ARTIFACTS)))
+def test_v1_and_v2_files_load_to_equal_arrays_and_csv_bytes_stay(tmp_path_factory, data,
+                                                                   shape, artifact):
+    draw, save, save_v1, load = ARTIFACTS[artifact]
+    obj = draw(data, *shape)
+    folder = tmp_path_factory.mktemp(artifact)
+    save_v1(folder / "v1.json", obj, "json")
+    save(folder / "v2.json", obj, "json")
+    assert "format" not in json.loads((folder / "v1.json").read_text())
+    assert json.loads((folder / "v2.json").read_text())["format"] == f"qquench.{artifact}/2"
+    old, new = _arrays(load(folder / "v1.json")), _arrays(load(folder / "v2.json"))
+    assert old.keys() == new.keys()
+    for name in old:
+        assert np.array_equal(old[name], new[name]), name
+    save_v1(folder / "v1.csv", obj, "csv")
+    save(folder / "v2.csv", obj, "csv")
+    assert (folder / "v2.csv").read_bytes() == (folder / "v1.csv").read_bytes()
+
+
+def test_scan_records_meta_and_json_restores_it(tmp_path, pipeline):
+    rmap = pipeline[1]
+    assert rmap.meta == {"selector": "uniform", "seed": 3, "sigma": 0.002, "trials": 2}
+    save_response_map(tmp_path / "map.json", rmap)
+    save_response_map(tmp_path / "map.csv", rmap)
+    from qquench import __version__
+    assert load_response_map(tmp_path / "map.json").meta == {**rmap.meta, "version": __version__}
+    assert load_response_map(tmp_path / "map.csv").meta == {}
+
+
+def test_response_map_meta_defaults_empty_and_is_a_copy():
+    meta = {"selector": "dft:3"}
+    rmap = ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [0.2]],
+                       p=[[0.3], [0.4]], p0=0.5, meta=meta)
+    meta["selector"] = "uniform"
+    assert rmap.meta == {"selector": "dft:3"}
+    assert ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [0.2]],
+                       p=[[0.3], [0.4]], p0=0.5).meta == {}
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_unknown_format_tag_is_named(tmp_path, artifact):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"format": f"qquench.{artifact}/3"}))
+    load = ARTIFACTS[artifact][3]
+    with pytest.raises(ValueError, match=f"qquench.{artifact}/3"):
+        load(path)
+
+
+def test_v2_file_of_another_artifact_is_rejected(tmp_path, pipeline):
+    path = tmp_path / "wave.json"
+    save_waveform(path, pipeline[0], "json")
+    with pytest.raises(ValueError, match="qquench.waveform/2"):
+        load_response_map(path)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_reconstruction_json_rejects_a_short_psi(tmp_path, version):
+    grid = BasisGrid(size=20)
+    state = builtin_waveform("gaussian_linear_chirp", grid)
+    rec = reconstruct_wavefunction(scan(state, uniform_post_selector(grid),
+                                        (np.pi / 2, -np.pi / 2), QUIET))
+    path = tmp_path / "rec.json"
+    if version == "v1":
+        support.v1_save_reconstruction(path, rec, "json")
+        payload = json.loads(path.read_text())
+        payload["psi"] = payload["psi"][:5]
+    else:
+        save_reconstruction(path, rec, "json")
+        payload = json.loads(path.read_text())
+        payload["psi_re"] = payload["psi_re"][:5]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="psi"):
+        load_reconstruction(path)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline, version):
+    path = tmp_path / "fid.json"
+    save = support.v1_save_sweep_fidelity if version == "v1" else save_sweep_fidelity
+    save(path, pipeline[3], "json")
+    payload = json.loads(path.read_text())
+    payload["fw_mean"] = payload["fw_mean"][:-1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="fw_mean"):
+        load_sweep_fidelity(path)
+
+
+@pytest.mark.parametrize("column", ["pr", "p"])
+def test_response_map_v2_rejects_ragged_columns(tmp_path, pipeline, column):
+    path = tmp_path / "map.json"
+    save_response_map(path, pipeline[1], "json")
+    payload = json.loads(path.read_text())
+    payload[column][2] = payload[column][2][:1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"{str(path)}.*{column!r}"):
+        load_response_map(path)
+
+
+def test_sweep_map_csv_places_depth_major_rows_by_bin_and_theta(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("bin,theta,abs_p\n0,1.0,0.1\n1,1.0,0.2\n0,2.0,0.3\n1,2.0,0.4\n")
+    table = load_sweep_map(path)
+    assert np.array_equal(table["bin"], [0, 1])
+    assert np.array_equal(table["theta"], [1.0, 2.0])
+    assert np.array_equal(table["abs_p"], [[0.1, 0.3], [0.2, 0.4]])
+
+
+def test_sweep_map_csv_missing_row_names_the_file(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("bin,theta,abs_p\n0,1.0,0.1\n0,2.0,0.3\n1,1.0,0.2\n")
+    with pytest.raises(ValueError, match="short.csv"):
+        load_sweep_map(path)
+
+
+WIDE = 2000
+
+
+def _wide_artifacts():
+    grid = BasisGrid(size=WIDE)
+    state = builtin_waveform("double_hump_quadratic_phase", grid)
+    rmap = scan(state, uniform_post_selector(grid), (np.pi / 2, -np.pi / 2),
+                NoiseModel(relative_sigma=0.002, seed=11, trials=1))
+    rng = np.random.default_rng(0)
+    depths = np.linspace(0.1, 1.5, 5)
+    sweep = SweepResult(grid=grid, depths=depths, seed_count=32,
+                        response_magnitudes=rng.random((WIDE, depths.size)),
+                        **{name: rng.random(depths.size) for name in support.SWEEP_STATS})
+    return state, rmap, reconstruct_wavefunction(rmap), sweep
+
+
+def test_json_writers_stay_on_the_c_encoder(tmp_path, monkeypatch):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("JSON written through the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    with pytest.raises(AssertionError):  # the patch reaches json.dumps
+        json.dumps([1.0], indent=2)
+    state, rmap, rec, sweep = _wide_artifacts()
+    save_waveform(tmp_path / "wave.json", state)
+    save_response_map(tmp_path / "map.json", rmap)
+    save_reconstruction(tmp_path / "rec.json", rec)
+    save_sweep_fidelity(tmp_path / "fid.json", sweep)
+    save_sweep_map(tmp_path / "heat.json", sweep)
+    assert len(os.listdir(tmp_path)) == 5
+
+
+def test_v2_response_map_is_at_most_a_third_of_v1(tmp_path):
+    rmap = _wide_artifacts()[1]
+    save_response_map(tmp_path / "v2.json", rmap)
+    support.v1_save_response_map(tmp_path / "v1.json", rmap, "json")
+    assert 3 * os.path.getsize(tmp_path / "v2.json") <= os.path.getsize(tmp_path / "v1.json")
+
+
+@pytest.mark.parametrize("field,value", [("p0", None), ("bin_width", "wide"), ("origin", [0]),
+                                         ("p0", "missing"), ("meta", "missing")])
+def test_response_map_v2_names_a_bad_field(tmp_path, pipeline, field, value):
+    path = tmp_path / "map.json"
+    save_response_map(path, pipeline[1], "json")
+    payload = json.loads(path.read_text())
+    if value == "missing":
+        del payload[field]
+    else:
+        payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"map.json: .*{field!r}"):
+        load_response_map(path)

@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qquench import _kernels, rng
-from support import oracle_probabilities, random_state
+from support import oracle_probabilities, random_state, reference_normals
 from qquench import BasisGrid, uniform_post_selector
 
 
@@ -78,12 +79,13 @@ def test_noisy_means_match_pure_python_oracle():
 
 
 def _unblocked_mean(pr, sigma, trials, keys):
-    """The kernel's formula without cell blocks: whole (N, D, chunk) arrays."""
+    """The kernel's formula without cell blocks or a workspace: whole
+    (N, D, chunk) arrays, with the allocating reference normals."""
     acc = np.zeros(pr.shape)
     for start in range(0, trials, _kernels._TRIAL_CHUNK):
         ctrs = np.arange(start, min(start + _kernels._TRIAL_CHUNK, trials),
                          dtype=np.uint64)
-        draws = pr[:, :, None] + sigma * rng.normals(keys[:, :, None], ctrs)
+        draws = pr[:, :, None] + sigma * reference_normals(keys[:, :, None], ctrs)
         np.maximum(draws, 0.0, out=draws)
         acc += draws.sum(axis=2)
     return acc / trials
@@ -109,6 +111,23 @@ def test_blocked_mean_matrix_is_bit_identical(cells, trials):
         _unblocked_mean(pr[lo:lo + step], 0.2, trials, keys[lo:lo + step])
         for lo in range(0, shape[0], step)])
     assert np.array_equal(got, want)
+
+
+def test_mean_matrix_reuses_one_workspace():
+    # The blocks share one 3 x 256 KB workspace; fresh temporaries per
+    # block peaked at ~2 MB here and, once the allocator trimmed the heap,
+    # faulted their pages in again on every block.
+    pr = np.full((2000, 2), 0.3)
+    keys = rng.key_matrix(5, 2000, [1.0, -1.0])
+    _kernels.noisy_mean_matrix(pr[:1, :1], 0.01, 2, keys[:1, :1])
+    tracemalloc.start()
+    try:
+        _kernels.noisy_mean_matrix(pr, 0.01, 1000, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workspace = 3 * _kernels._BLOCK_DRAWS * 8
+    assert peak <= workspace + 8 * pr.size * 8 + 2**17, f"peak {peak / 2**10:.0f} KB"
 
 
 def test_mean_matrix_peak_rss_stays_bounded():

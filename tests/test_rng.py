@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qquench import rng
+from support import reference_normals
 
 
 def test_mix64_is_deterministic_and_masked():
@@ -83,6 +84,20 @@ def test_normals_broadcast_keys_match_one_call_per_key(keys, counters):
     rows = np.array([rng.normals(k, counters) for k in keys])
     assert block.shape == (len(keys), counters.size)
     assert np.array_equal(block, rows)
+
+
+@settings(deadline=None)
+@given(keys=st.lists(_u64, min_size=1, max_size=6),
+       counters=st.lists(_u64, min_size=1, max_size=40), spare=st.integers(0, 3))
+def test_normals_into_a_reused_workspace_equals_normals(keys, counters, spare):
+    keys = np.array(keys, dtype=np.uint64)[:, None]
+    counters = np.array(counters, dtype=np.uint64)
+    words = rng.counter_words(counters)
+    work = np.empty((3, keys.shape[0] + spare, counters.size), dtype=np.uint64)
+    rng.normals_into(keys[::-1], words, work[:, :keys.shape[0]])  # leave stale bits behind
+    got = rng.normals_into(keys, words, work[:, :keys.shape[0]])
+    assert np.array_equal(got, reference_normals(keys, counters))
+    assert np.array_equal(rng.normals(keys, counters), got)
 
 
 def test_baseline_stream_is_distinct_from_bins():
