@@ -8,17 +8,27 @@ on call order.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from . import rng
 
 # Trials are summed in chunks of _TRIAL_CHUNK and each chunk over blocks of
-# about _BLOCK_DRAWS draws (a 3 x 256 KB workspace per chunk), so the working
-# set stays fixed whatever (N, depths, trials) is. Both are constants: a cell
-# sums the same contiguous trial chunk pairwise and adds its chunks in the
-# same order for any block size, so the output bits never depend on memory.
+# about _BLOCK_DRAWS draws (a 3 x 256 KB workspace per worker and chunk), so
+# the working set stays fixed whatever (N, depths, trials) is. Both are
+# constants: a cell sums the same contiguous trial chunk pairwise and adds its
+# chunks in the same order for any block size or worker count, so the output
+# bits never depend on memory or on the number of CPUs.
 _TRIAL_CHUNK = 4096
 _BLOCK_DRAWS = 2**15
+
+# The blocks of a chunk run on up to one thread per CPU this process may use
+# (numpy releases the GIL inside the ufuncs). Read once: a per-call lookup
+# was a measurable share of the one-block calls a small sweep makes.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def true_probabilities(psi, overlaps, thetas):
@@ -49,18 +59,65 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
         ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
         words = rng.counter_words(ctrs)
         rows = max(1, min(acc.size, _BLOCK_DRAWS // ctrs.size))
-        # one workspace for every block of the chunk: fresh temporaries per
-        # block would let the allocator return their pages to the system and
-        # fault them in again on the next block
-        work = np.empty((3, rows, ctrs.size), dtype=np.uint64)
-        for lo in range(0, acc.size, rows):
-            hi = min(lo + rows, acc.size)
-            draws = rng.normals_into(key_col[lo:hi], words, work[:, :hi - lo])
-            draws *= sigma_abs
-            draws += base[lo:hi]
-            np.maximum(draws, 0.0, out=draws)
-            acc[lo:hi] += draws.sum(axis=1)
+        stripes = min(_WORKERS, -(-acc.size // rows))
+        if stripes == 1:
+            _add_stripe(acc, base, key_col, sigma_abs, words, rows, 0, acc.size)
+        else:
+            _add_stripes(stripes, acc, base, key_col, sigma_abs, words, rows)
     return (acc / trials).reshape(pr_true.shape)
+
+
+def _add_stripe(acc, base, key_col, sigma_abs, words, rows, lo, hi):
+    """Add one trial chunk of cells ``lo:hi`` to ``acc``, in blocks of ``rows`` cells.
+
+    ``words`` are the chunk's counter words. One workspace serves every
+    block: fresh temporaries per block would let the allocator return their
+    pages to the system and fault them in again on the next block.
+    """
+    work = np.empty((3, min(rows, hi - lo), words.size), dtype=np.uint64)
+    for a in range(lo, hi, rows):
+        b = min(a + rows, hi)
+        draws = rng.normals_into(key_col[a:b], words, work[:, :b - a])
+        draws *= sigma_abs
+        draws += base[a:b]
+        np.maximum(draws, 0.0, out=draws)
+        acc[a:b] += draws.sum(axis=1)
+
+
+def _add_stripe_keeping_error(errors, k, *args):
+    """:func:`_add_stripe`, with its exception kept in ``errors[k]``: a thread drops it."""
+    try:
+        _add_stripe(*args)
+    except BaseException as exc:  # re-raised by the caller of _add_stripes
+        errors[k] = exc
+
+
+def _add_stripes(stripes, acc, base, key_col, sigma_abs, words, rows):
+    """:func:`_add_stripe` over all cells, split into ``stripes`` runs of whole blocks.
+
+    The caller's thread adds stripe 0 and one new thread each of the others;
+    the stripes write disjoint slices of ``acc``. Every thread is joined
+    before the first exception of any stripe is raised, so ``acc`` is never
+    returned partly summed.
+    """
+    blocks = -(-acc.size // rows)
+    cuts = [min(k * blocks // stripes * rows, acc.size) for k in range(stripes + 1)]
+    errors = [None] * stripes
+    started = []
+    try:
+        for k in range(1, stripes):
+            thread = threading.Thread(target=_add_stripe_keeping_error, args=(
+                errors, k, acc, base, key_col, sigma_abs, words, rows, cuts[k], cuts[k + 1]))
+            thread.start()
+            started.append(thread)
+        _add_stripe_keeping_error(errors, 0, acc, base, key_col, sigma_abs, words, rows,
+                                  cuts[0], cuts[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def noisy_mean_scalar(value, sigma_abs, trials, key):

@@ -160,9 +160,19 @@ def _read_json(path, artifact: str):
 
 
 def _field(path, payload: dict, name: str):
-    if name not in payload:
-        raise ValueError(f"{path}: missing field {name!r}")
-    return payload[name]
+    """``payload[name]``; a missing or null field raises ``ValueError`` naming it."""
+    value = payload.get(name)
+    if value is None:
+        raise ValueError(f"{path}: missing or null field {name!r}")
+    return value
+
+
+def _records(path, payload: dict, name: str) -> list:
+    """A v1 list of objects, such as the per-bin records of a response map."""
+    records = _field(path, payload, name)
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError(f"{path}: field {name!r} must be a list of objects")
+    return records
 
 
 def _number(path, payload: dict, name: str, kind=float):
@@ -190,9 +200,13 @@ def _column(path, payload: dict, name: str, shape: tuple, dtype=np.float64) -> n
     return col
 
 
+def _json_origin(path, payload: dict) -> float:
+    return _number(path, payload, "origin") if "origin" in payload else 0.0
+
+
 def _json_grid(path, payload: dict, size: int) -> BasisGrid:
-    origin = _number(path, payload, "origin") if "origin" in payload else 0.0
-    return BasisGrid(size=size, bin_width=_number(path, payload, "bin_width"), origin=origin)
+    return BasisGrid(size=size, bin_width=_number(path, payload, "bin_width"),
+                     origin=_json_origin(path, payload))
 
 
 def _bin_major(path, what: str, table: np.ndarray) -> np.ndarray:
@@ -262,9 +276,9 @@ def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
             phases = _column(path, payload, "phase", amps.shape)
             _column(path, payload, "t", amps.shape)
         else:
-            samples = payload["samples"]
-            amps = np.array([float(s["amp"]) for s in samples])
-            phases = np.array([float(s["phase"]) for s in samples])
+            samples = _records(path, payload, "samples")
+            amps = np.array([_number(path, s, "amp") for s in samples])
+            phases = np.array([_number(path, s, "phase") for s in samples])
         grid = _json_grid(path, payload, amps.size)
     if np.any(amps < 0):
         raise ValueError("waveform amplitude column must be >= 0")
@@ -336,11 +350,13 @@ def load_response_map(path, fmt: str | None = None,
                            depths=tuple(depths.tolist()), pr=pr, p=p,
                            p0=_number(path, payload, "p0"), meta=meta)
 
-    rows = [[int(rec["bin"]), float(e["theta"]), float(rec["P0"]), float(e["Pr"]),
-             float(e["p"])] for rec in payload["records"] for e in rec["entries"]]
-    rmap = _response_map(path, rows, float(payload["bin_width"]),
-                         float(payload.get("origin", 0.0)))
-    if rmap.depths != tuple(float(t) for t in payload["depths"]):
+    rows = [[_number(path, rec, "bin", int), _number(path, e, "theta"), _number(path, rec, "P0"),
+             _number(path, e, "Pr"), _number(path, e, "p")]
+            for rec in _records(path, payload, "records")
+            for e in _records(path, rec, "entries")]
+    rmap = _response_map(path, rows, _number(path, payload, "bin_width"),
+                         _json_origin(path, payload))
+    if rmap.depths != tuple(_column(path, payload, "depths", (None,)).tolist()):
         raise ValueError(f"{path}: record depths differ from the map's depth list")
     return rmap
 
@@ -397,14 +413,14 @@ def load_reconstruction(path, fmt: str | None = None,
             psi = np.empty(raw_re.shape, dtype=np.complex128)
             psi.real, psi.imag = psi_re, psi_im
         else:
-            bins = payload["bins"]
-            if len(payload["psi"]) != len(bins):
-                raise ValueError(f"{path}: psi has {len(payload['psi'])} entries "
-                                 f"for {len(bins)} bins")
-            raw_re = np.array([float(b["re"]) for b in bins])
-            raw_im = np.array([float(b["im"]) for b in bins])
-            branch_ok = np.array([bool(b["branch_ok"]) for b in bins])
-            psi = np.array([complex(z["re"], z["im"]) for z in payload["psi"]])
+            bins, psi = _records(path, payload, "bins"), _records(path, payload, "psi")
+            if len(psi) != len(bins):
+                raise ValueError(f"{path}: psi has {len(psi)} entries for {len(bins)} bins")
+            raw_re = np.array([_number(path, b, "re") for b in bins])
+            raw_im = np.array([_number(path, b, "im") for b in bins])
+            branch_ok = np.array([bool(_field(path, b, "branch_ok")) for b in bins])
+            psi = np.array([complex(_number(path, z, "re"), _number(path, z, "im"))
+                            for z in psi])
         return ReconstructionResult(
             grid=_json_grid(path, payload, raw_re.size), raw_re=raw_re, raw_im=raw_im, psi=psi,
             amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),

@@ -278,3 +278,18 @@ def v1_save_sweep_map(path, sweep, fmt):
         "magnitudes": [[float(v) for v in row] for row in mags],
     }
     _v1_write(path, fmt, ("bin", "theta", "abs_p"), rows, payload)
+
+
+def edit_json(path, field: str, value):
+    """Set the field at the dotted path ``field`` of a JSON file, such as
+    ``"records.3.P0"``, to ``value``, or delete it if ``value`` is ``"missing"``."""
+    payload = json.loads(path.read_text())
+    *outer, last = (int(key) if key.isdigit() else key for key in field.split("."))
+    node = payload
+    for key in outer:
+        node = node[key]
+    if value == "missing":
+        del node[last]
+    else:
+        node[last] = value
+    path.write_text(json.dumps(payload))

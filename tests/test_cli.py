@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from qquench import load_reconstruction, load_response_map, load_sweep_fidelity
+from qquench import (load_reconstruction, load_response_map, load_sweep_fidelity,
+                     load_waveform)
 from qquench.cli import main, parse_theta
+
+import support
 
 
 def run(*argv):
@@ -234,6 +237,28 @@ def test_reconstruct_unknown_format_tag(tmp_path, capsys):
     assert run("reconstruct", "--input", str(map_path),
                "--out", str(tmp_path / "rec.json")) == 12
     assert "qquench.response_map/9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("records", "missing"), ("records.3.P0", None)])
+def test_reconstruct_v1_map_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
+                                                         field, value):
+    map_path = tmp_path / "map.json"
+    assert run("scan", "--input", str(wave_csv), "--sigma", "0", "--out", str(map_path)) == 0
+    support.v1_save_response_map(map_path, load_response_map(map_path), "json")
+    support.edit_json(map_path, field, value)
+    assert run("reconstruct", "--input", str(map_path),
+               "--out", str(tmp_path / "rec.json")) == 12
+    assert f"missing or null field {field.split('.')[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("samples.0.amp", "missing"), ("origin", None)])
+def test_prepare_v1_waveform_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
+                                                          field, value):
+    wave_json = tmp_path / "wave.json"
+    support.v1_save_waveform(wave_json, load_waveform(wave_csv), "json")
+    support.edit_json(wave_json, field, value)
+    assert run("prepare", "--input", str(wave_json), "--out", str(tmp_path / "w.csv")) == 12
+    assert f"missing or null field {field.split('.')[-1]!r}" in capsys.readouterr().err
 
 
 def test_reconstruct_incomplete_depths(tmp_path, wave_csv):

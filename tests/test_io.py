@@ -514,6 +514,29 @@ def test_reconstruction_json_rejects_a_short_psi(tmp_path, version):
         load_reconstruction(path)
 
 
+@pytest.mark.parametrize("artifact,field,value", [
+    ("waveform", "samples", "missing"),
+    ("waveform", "samples.3.phase", None),
+    ("response_map", "bin_width", None),
+    ("response_map", "records.2.entries", "missing"),
+    ("response_map", "records.5.entries.1.Pr", None),
+    ("reconstruction", "bins.4.re", "missing"),
+    ("reconstruction", "psi.0.im", None),
+])
+def test_v1_json_names_a_missing_or_null_field(tmp_path, pipeline, artifact, field, value):
+    path = tmp_path / f"{artifact}.json"
+    item, write, load = {
+        "waveform": (pipeline[0], support.v1_save_waveform, load_waveform),
+        "response_map": (pipeline[1], support.v1_save_response_map, load_response_map),
+        "reconstruction": (pipeline[2], support.v1_save_reconstruction, load_reconstruction),
+    }[artifact]
+    write(path, item, "json")
+    support.edit_json(path, field, value)
+    name = field.split(".")[-1]
+    with pytest.raises(ValueError, match=f"{artifact}.json: missing or null field {name!r}"):
+        load(path)
+
+
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline, version):
     path = tmp_path / "fid.json"

@@ -2,10 +2,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qquench import _kernels, rng
 from support import oracle_probabilities, random_state, reference_normals
@@ -91,6 +94,14 @@ def _unblocked_mean(pr, sigma, trials, keys):
     return acc / trials
 
 
+def _problem(n, trials):
+    """``n`` cells: two depth columns when ``n`` is even, so blocks and
+    stripes also cut across the rows of the (N, D) layout."""
+    shape = (n // 2, 2) if n % 2 == 0 else (n, 1)
+    pr = np.random.default_rng(n + trials).random(shape)
+    return pr, rng.key_matrix(n, shape[0], np.linspace(0.3, 2.8, shape[1]))
+
+
 @pytest.mark.parametrize("trials", [1, 1000, 4096, 4097])
 @pytest.mark.parametrize("cells", ["1", "rows-1", "rows", "rows+1", "4000"])
 def test_blocked_mean_matrix_is_bit_identical(cells, trials):
@@ -98,11 +109,8 @@ def test_blocked_mean_matrix_is_bit_identical(cells, trials):
     rows = max(1, _kernels._BLOCK_DRAWS // chunk)
     n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
          "4000": 4000}[cells]
-    # two depth columns whenever the cell count is even, so blocks also
-    # cut across the rows of the (N, D) layout
-    shape = (n // 2, 2) if n % 2 == 0 else (n, 1)
-    pr = np.random.default_rng(n + trials).random(shape)
-    keys = rng.key_matrix(n, shape[0], np.linspace(0.3, 2.8, shape[1]))
+    pr, keys = _problem(n, trials)
+    shape = pr.shape
     got = _kernels.noisy_mean_matrix(pr, 0.2, trials, keys)
     # The reference goes over bin slices of at most 2**22 draws (32 MB per
     # temporary); only the 4000-cell cases at >= 4096 trials need several.
@@ -113,10 +121,65 @@ def test_blocked_mean_matrix_is_bit_identical(cells, trials):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), trials=st.sampled_from([1, 1000, 4096, 4097]),
+       workers=st.sampled_from([1, 2, 3, 7]))
+def test_threaded_mean_matrix_is_bit_identical(data, trials, workers):
+    rows = max(1, _kernels._BLOCK_DRAWS // min(trials, _kernels._TRIAL_CHUNK))
+    pr, keys = _problem(data.draw(st.integers(1, 4 * rows + 1), label="cells"), trials)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_WORKERS", 1)
+        serial = _kernels.noisy_mean_matrix(pr, 0.2, trials, keys)
+        mp.setattr(_kernels, "_WORKERS", workers)
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as it goes
+        try:
+            got = _kernels.noisy_mean_matrix(pr, 0.2, trials, keys)
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(got, serial)
+    assert np.array_equal(got, _unblocked_mean(pr, 0.2, trials, keys))
+
+
+def test_worker_failure_reaches_the_caller(monkeypatch):
+    # 100 cells at 1000 trials are 4 blocks of 32 cells; two stripes split
+    # them at cell 64, so the block at cell 96 runs on the second thread.
+    pr, keys = _problem(100, 1000)
+    bad_key = keys.reshape(-1)[96]
+    normals_into = rng.normals_into
+
+    def failing(key, words, work):
+        if key[0, 0] == bad_key:
+            raise RuntimeError("block at cell 96")
+        return normals_into(key, words, work)
+
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    monkeypatch.setattr(rng, "normals_into", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="cell 96"):
+        _kernels.noisy_mean_matrix(pr, 0.2, 1000, keys)
+    assert threading.active_count() == threads
+
+
+def test_single_block_call_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-block call started a thread")
+
+    monkeypatch.setattr(_kernels, "_WORKERS", 7)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    for n, trials in ((1, 1), (1280, 1), (32, 1000)):
+        pr, keys = _problem(n, trials)
+        got = _kernels.noisy_mean_matrix(pr, 0.2, trials, keys)
+        assert np.array_equal(got, _unblocked_mean(pr, 0.2, trials, keys))
+    pr, keys = _problem(33, 1000)  # two blocks
+    with pytest.raises(AssertionError, match="started a thread"):  # the patch reaches the kernel
+        _kernels.noisy_mean_matrix(pr, 0.2, 1000, keys)
+
+
 def test_mean_matrix_reuses_one_workspace():
-    # The blocks share one 3 x 256 KB workspace; fresh temporaries per
-    # block peaked at ~2 MB here and, once the allocator trimmed the heap,
-    # faulted their pages in again on every block.
+    # Each stripe of blocks shares one 3 x 256 KB workspace; fresh
+    # temporaries per block peaked at ~2 MB here and, once the allocator
+    # trimmed the heap, faulted their pages in again on every block.
     pr = np.full((2000, 2), 0.3)
     keys = rng.key_matrix(5, 2000, [1.0, -1.0])
     _kernels.noisy_mean_matrix(pr[:1, :1], 0.01, 2, keys[:1, :1])
@@ -126,8 +189,9 @@ def test_mean_matrix_reuses_one_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    workspace = 3 * _kernels._BLOCK_DRAWS * 8
-    assert peak <= workspace + 8 * pr.size * 8 + 2**17, f"peak {peak / 2**10:.0f} KB"
+    blocks = -(-pr.size // (_kernels._BLOCK_DRAWS // 1000))
+    workspaces = min(_kernels._WORKERS, blocks) * 3 * _kernels._BLOCK_DRAWS * 8
+    assert peak <= workspaces + 8 * pr.size * 8 + 2**17, f"peak {peak / 2**10:.0f} KB"
 
 
 def test_mean_matrix_peak_rss_stays_bounded():
