@@ -38,16 +38,7 @@ from .io import (
     save_sweep_map,
     save_waveform,
 )
-from .quench import (
-    NoiseModel,
-    QuenchConfig,
-    ResponseMap,
-    apply_quench,
-    measure_with_noise,
-    projection_probability,
-    response_factor,
-    scan,
-)
+from .quench import NoiseModel, ResponseMap, scan
 from .reconstruct import (
     ReconstructionResult,
     amplitude_nodes,
@@ -87,7 +78,6 @@ __all__ = [
     "NoiseModel",
     "NonFiniteInputError",
     "PostSelector",
-    "QuenchConfig",
     "QuenchError",
     "ReconstructionResult",
     "ResponseMap",
@@ -98,7 +88,6 @@ __all__ = [
     "WavefunctionState",
     "ZeroVectorError",
     "amplitude_nodes",
-    "apply_quench",
     "builtin_waveform",
     "depth_sweep",
     "dft_post_selector",
@@ -115,11 +104,8 @@ __all__ = [
     "load_sweep_map",
     "load_waveform",
     "make_state",
-    "measure_with_noise",
     "phase_envelope",
-    "projection_probability",
     "reconstruct_wavefunction",
-    "response_factor",
     "sample_envelope",
     "save_reconstruction",
     "save_response_map",

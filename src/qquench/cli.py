@@ -176,6 +176,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON type each --config key must have (theta and seed are parsed from
+# text instead): its flag's type. A bool is no number here, and an integer
+# count must not come as 3.0 to be truncated.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("bins", "trials", "seeds"), (int, "an integer")),
+    **dict.fromkeys(("sigma", "bin_width", "origin"), ((int, float), "a number")),
+    **dict.fromkeys(("out", "input", "waveform", "reference", "selector", "format"),
+                    (str, "a string")),
+}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill still-unset options from the --config JSON file."""
     if getattr(args, "config", None) is None:
@@ -197,10 +208,10 @@ def _apply_config(args: argparse.Namespace) -> None:
             ns[dest] = [parse_theta(str(v)) for v in value]
         elif dest == "seed":
             ns[dest] = parse_seed(str(value))
-        elif dest in ("bins", "trials", "seeds") and (
-                isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{args.config}: {key} must be an integer, got {value!r}")
         else:
+            types, noun = _CONFIG_TYPES[dest]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{args.config}: {key} must be {noun}, got {value!r}")
             ns[dest] = value
 
 

@@ -9,7 +9,6 @@ Gaussian noise model.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -17,25 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, rng
-from .errors import DegenerateBaselineError, DimensionMismatchError, IndexOutOfRangeError
-from .states import BasisGrid, PostSelector, WavefunctionState, inner_product
+from .errors import DegenerateBaselineError, DimensionMismatchError
+from .states import BasisGrid, PostSelector, WavefunctionState
 
 # Noiseless baseline below this is treated as an orthogonal post-selection.
 BASELINE_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class QuenchConfig:
-    """Where and how deep to quench: bin index and phase depth in radians."""
-
-    bin: int
-    depth: float
-
-    def __post_init__(self):
-        if self.bin < 0:
-            raise IndexOutOfRangeError(f"bin index must be nonnegative, got {self.bin}")
-        if not math.isfinite(self.depth):
-            raise ValueError(f"quench depth must be finite, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -112,49 +97,6 @@ class ResponseMap:
     def measured_matrix(self) -> np.ndarray:
         """Measured probabilities Pr as an (n_bins, n_depths) array."""
         return self.pr.copy()
-
-
-def apply_quench(state: WavefunctionState, q: QuenchConfig) -> WavefunctionState:
-    """Multiply the amplitude at ``q.bin`` by exp(i*q.depth); unitary, norm kept."""
-    if not 0 <= q.bin < state.grid.size:
-        raise IndexOutOfRangeError(f"bin {q.bin} outside [0, {state.grid.size})")
-    amps = np.array(state.amplitudes, copy=True)
-    amps[q.bin] *= cmath.exp(1j * q.depth)
-    return WavefunctionState(state.grid, amps)
-
-
-def projection_probability(state: WavefunctionState, selector: PostSelector) -> float:
-    """Probability of projecting ``state`` onto the post-selection state."""
-    return abs(inner_product(selector, state)) ** 2
-
-
-def response_factor(measured_pr: float, baseline_p0: float) -> float:
-    """Relative probability change caused by the quench: 1 - Pr/P0."""
-    if baseline_p0 <= BASELINE_FLOOR:
-        raise DegenerateBaselineError(
-            f"baseline P0={baseline_p0:.3e} at or below floor {BASELINE_FLOOR:.0e}"
-        )
-    return 1.0 - measured_pr / baseline_p0
-
-
-def measure_with_noise(true_pr, noise: NoiseModel, key=None, baseline_p0=None) -> float:
-    """Average of ``noise.trials`` noisy reads of a true probability.
-
-    Each read adds a Normal(0, relative_sigma * baseline_p0) error and clamps
-    at zero (probabilities cannot go negative). ``key`` is the stream key
-    identifying this measurement slot (default: the seed's baseline stream);
-    the draw at trial t depends only on (key, t), never on call order.
-    ``baseline_p0`` anchors the absolute noise scale and defaults to
-    ``true_pr`` itself.
-    """
-    if true_pr < 0:
-        raise ValueError(f"true probability must be >= 0, got {true_pr}")
-    if noise.noiseless:
-        return float(true_pr)
-    if key is None:
-        key = rng.stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
-    scale = noise.relative_sigma * (true_pr if baseline_p0 is None else baseline_p0)
-    return _kernels.noisy_mean_scalar(true_pr, scale, noise.trials, key)
 
 
 def measure_seeds(state: WavefunctionState, selector: PostSelector, depths,

@@ -12,7 +12,16 @@ run on one vectorized mixer over numpy uint64 arrays. The pure-Python ``mix64`` 
 (``derive_key``, ``stream_key``) and, with ``normal``, is the reference the
 tests hold the vectorized path to: the integer outputs are bit-identical,
 and the float normals agree to the last ulp or so because numpy's
-vectorized log/cos may differ from libm by one rounding.
+vectorized log may differ from libm by one rounding.
+
+A normal is the Box-Muller draw sqrt(-2 ln u1) * cos(2*pi*u2). The cos
+factor is an exact range reduction and a fixed odd polynomial in float64
+``-``, ``min``, ``*`` and ``+`` (:func:`_mul_cos_two_pi`), not a libm call:
+cheaper than numpy's cos, and with half its error. Moving to it changed
+every noisy output once, by a few ulp. Only the log still depends on the
+numpy build and its CPU dispatch (its AVX512 kernel and its baseline kernel
+differ by one ulp on about 0.3% of inputs), so output bits repeat for one
+numpy build on one CPU dispatch target.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ _SHIFTS = {n: np.uint64(n) for n in (11, 27, 30, 31)}
 
 _TWO_NEG53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
+# Taylor coefficients (-1)**j / (2j + 1)! of sin(x)/x in powers of x**2,
+# j = 10 down to 0: Horner's rule order.
+_SIN_TAYLOR = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(10, -1, -1))
 
 # Fixed default used when no seed is supplied anywhere (flag or environment);
 # a constant rather than entropy keeps unconfigured runs reproducible.
@@ -111,12 +123,47 @@ def key_matrix(seed, n_bins: int, thetas) -> np.ndarray:
 
 
 def normal(key: int, counter: int) -> float:
-    """One standard normal draw at an absolute stream position."""
+    """One standard normal draw at an absolute stream position.
+
+    The scalar twin of :func:`normals`: the same uniforms, ``math.log`` for
+    the radius, and the same cos factor bit for bit (:func:`_mul_cos_two_pi`
+    on 0-d arrays), so the two differ only where ``math.log`` and
+    ``np.log`` do.
+    """
     a = mix64((key ^ mix64((counter ^ CTR_SALT) & MASK64)) & MASK64)
     b = mix64(a ^ PAIR_SALT)
     u1 = ((a >> 11) + 0.5) * _TWO_NEG53
     u2 = ((b >> 11) + 0.5) * _TWO_NEG53
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+    r = np.array(math.sqrt(-2.0 * math.log(u1)))
+    return float(_mul_cos_two_pi(r, np.array(u2), np.empty(())))
+
+
+def _mul_cos_two_pi(r: np.ndarray, u: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Multiply ``r`` in place by cos(2*pi*u) and return it; ``u`` and ``x2`` are scratch.
+
+    ``r``, ``u`` and ``x2`` are float64 arrays of one shape, and every ``u``
+    is a multiple of 2**-54 in (0, 1], as both Box-Muller uniforms are. With
+    v = min(u, 1 - u) and s = 1/4 - v, cos(2*pi*u) = sin(x) for x = 2*pi*s,
+    |x| <= pi/2. v and s are exact: 1 - u is exact whenever it is the
+    smaller (Sterbenz), and s is a multiple of 2**-54 of magnitude at most 1/4.
+    sin(x) = x * P(x**2), with P the Taylor series of sin(x)/x through x**20
+    (the first term left out is below 1.3e-18), by Horner's rule. Only
+    correctly rounded -, min, * and + run, so the bits depend on no libm
+    and on no SIMD dispatch; r becomes (r * x) * P(x**2).
+    """
+    np.subtract(1.0, u, out=x2)
+    np.minimum(u, x2, out=u)
+    np.subtract(0.25, u, out=u)
+    u *= _TWO_PI
+    r *= u
+    np.multiply(u, u, out=x2)
+    np.multiply(x2, _SIN_TAYLOR[0], out=u)
+    for c in _SIN_TAYLOR[1:-1]:
+        u += c
+        u *= x2
+    u += _SIN_TAYLOR[-1]
+    r *= u
+    return r
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -162,7 +209,9 @@ def normals_into(key, words, work: np.ndarray) -> np.ndarray:
     Every step runs in place in ``work``, a uint64 array of shape
     ``(3,) + broadcast(key, words).shape``, so a caller that reuses one
     workspace allocates nothing per call. Returns a float64 view of
-    ``work``; the bits equal those of :func:`normals`.
+    ``work``; the bits equal those of :func:`normals`. The radius is
+    sqrt(-2 ln u1) in one plane and the cos factor of u2 is evaluated in
+    the other two (:func:`_mul_cos_two_pi`), so no fourth plane is needed.
     """
     a, b, tmp = work[0, ...], work[1, ...], work[2, ...]  # views, also when 0-d
     np.bitwise_xor(key, words, out=a)
@@ -180,7 +229,4 @@ def normals_into(key, words, work: np.ndarray) -> np.ndarray:
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
-    u2 *= _TWO_PI
-    np.cos(u2, out=u2)
-    u1 *= u2
-    return u1
+    return _mul_cos_two_pi(u1, u2, b.view(np.float64))  # b is spent too

@@ -1,24 +1,34 @@
 """Shared helpers for the test suite: random states, the independent
-direct-expansion oracle the pipeline is checked against, the per-scan
+direct-expansion oracle the pipeline is checked against, the per-bin quench
+and measurement formulas, the per-scan
 finishing and scoring formulas the block code is checked against, and the
 version 1 file writers the file formats are checked against."""
 
+import cmath
 import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from qquench import (
     BasisGrid,
+    DegenerateBaselineError,
+    IndexOutOfRangeError,
+    NoiseModel,
+    PostSelector,
     ReconstructionResult,
+    WavefunctionState,
     amplitude_nodes,
+    inner_product,
     make_state,
     phase_envelope,
 )
-from qquench import rng
+from qquench import _kernels, rng
 from qquench.fidelity import resolution_floor
+from qquench.quench import BASELINE_FLOOR
 from qquench.reconstruct import FOLD_ATTR_ABS, FOLD_ATTR_REL, FOLD_SUM_TOL, NODE_TOL
 
 
@@ -87,6 +97,64 @@ def scaled_amplitudes(psi, overlaps):
     psi = np.asarray(psi, dtype=np.complex128)
     overlaps = np.asarray(overlaps, dtype=np.complex128)
     return psi * overlaps / (overlaps @ psi)
+
+
+# One quench, one projection and one noisy read at a time: the per-bin
+# formulas that scan computes as (bins, depths) blocks.
+
+@dataclass(frozen=True)
+class QuenchConfig:
+    """Where and how deep to quench: bin index and phase depth in radians."""
+
+    bin: int
+    depth: float
+
+    def __post_init__(self):
+        if self.bin < 0:
+            raise IndexOutOfRangeError(f"bin index must be nonnegative, got {self.bin}")
+        if not math.isfinite(self.depth):
+            raise ValueError(f"quench depth must be finite, got {self.depth}")
+
+
+def apply_quench(state: WavefunctionState, q: QuenchConfig) -> WavefunctionState:
+    """Multiply the amplitude at ``q.bin`` by exp(i*q.depth); unitary, norm kept."""
+    if not 0 <= q.bin < state.grid.size:
+        raise IndexOutOfRangeError(f"bin {q.bin} outside [0, {state.grid.size})")
+    amps = np.array(state.amplitudes, copy=True)
+    amps[q.bin] *= cmath.exp(1j * q.depth)
+    return WavefunctionState(state.grid, amps)
+
+
+def projection_probability(state: WavefunctionState, selector: PostSelector) -> float:
+    """Probability of projecting ``state`` onto the post-selection state."""
+    return abs(inner_product(selector, state)) ** 2
+
+
+def response_factor(measured_pr: float, baseline_p0: float) -> float:
+    """Relative probability change caused by the quench: 1 - Pr/P0."""
+    if baseline_p0 <= BASELINE_FLOOR:
+        raise DegenerateBaselineError(
+            f"baseline P0={baseline_p0:.3e} at or below floor {BASELINE_FLOOR:.0e}"
+        )
+    return 1.0 - measured_pr / baseline_p0
+
+
+def measure_with_noise(true_pr, noise: NoiseModel, key=None, baseline_p0=None) -> float:
+    """Average of ``noise.trials`` noisy reads of a true probability.
+
+    Each read adds a Normal(0, relative_sigma * baseline_p0) error and clamps
+    at zero. ``key`` is the stream key of the measurement slot (default: the
+    seed's baseline stream); ``baseline_p0`` anchors the absolute noise scale
+    and defaults to ``true_pr`` itself.
+    """
+    if true_pr < 0:
+        raise ValueError(f"true probability must be >= 0, got {true_pr}")
+    if noise.noiseless:
+        return float(true_pr)
+    if key is None:
+        key = rng.stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
+    scale = noise.relative_sigma * (true_pr if baseline_p0 is None else baseline_p0)
+    return _kernels.noisy_mean_scalar(true_pr, scale, noise.trials, key)
 
 
 # The per-scan finishing and scoring formulas as they stood before both became
@@ -159,8 +227,8 @@ def reference_score(result, state, noise=None):
 
 
 
-# rng.normals as it stood before it ran in place: a new array for every step.
-# The in-place mixer must give the same bits.
+# rng.normals written with a new array for every step. The in-place mixer and
+# the in-place cos factor must give the same bits.
 
 def _reference_mix64(z):
     z = z + np.uint64(rng.GOLD)
@@ -169,12 +237,39 @@ def _reference_mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def reference_normals(key, counters):
-    """Standard normals at (key, counter); both at least 1-d uint64 arrays."""
+def reference_uniforms(key, counters):
+    """The Box-Muller uniforms (u1, u2) behind :func:`reference_normals`."""
     a = _reference_mix64(key ^ _reference_mix64(counters ^ np.uint64(rng.CTR_SALT)))
     b = _reference_mix64(a ^ np.uint64(rng.PAIR_SALT))
     u1 = ((a >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     u2 = ((b >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return u1, u2
+
+
+# Taylor coefficients of sin(x)/x in x**2, constant term first.
+SIN_TAYLOR = [(-1) ** j / math.factorial(2 * j + 1) for j in range(11)]
+
+
+def reference_normals(key, counters):
+    """Standard normals at (key, counter); both at least 1-d uint64 arrays.
+
+    The cos factor is sin(x) at the exactly reduced x = 2*pi*(1/4 - min(u2, 1 - u2)),
+    as x times the Taylor polynomial of sin(x)/x by Horner's rule, multiplied
+    onto r = sqrt(-2 ln u1) as (r * x) * P(x**2).
+    """
+    u1, u2 = reference_uniforms(key, counters)
+    x = 2.0 * math.pi * (0.25 - np.minimum(u2, 1.0 - u2))
+    x2 = x * x
+    poly = np.full_like(x, SIN_TAYLOR[-1])
+    for c in SIN_TAYLOR[-2::-1]:
+        poly = poly * x2 + c
+    return (np.sqrt(-2.0 * np.log(u1)) * x) * poly
+
+
+def libm_reference_normals(key, counters):
+    """:func:`reference_normals` as it stood before the reduced polynomial:
+    the cos factor is numpy's cos of the rounded product 2*pi*u2."""
+    u1, u2 = reference_uniforms(key, counters)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 # The file writers as they stood before the v2 JSON layout and the

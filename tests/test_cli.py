@@ -9,7 +9,7 @@ import pytest
 
 from qquench import (load_reconstruction, load_response_map, load_sweep_fidelity,
                      load_waveform)
-from qquench.cli import main, parse_theta
+from qquench.cli import _CONFIG_TYPES, _build_parser, main, parse_theta
 
 import support
 
@@ -341,6 +341,48 @@ def test_config_file_rejects_non_integer_counts(tmp_path, wave_csv, command, pay
     out = tmp_path / "out.csv"
     assert run(command, *source, "--config", str(config), "--out", str(out)) == 12
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("prepare", '{"out": 5}'),
+    ("scan", '{"input": 0}'),
+    ("prepare", '{"bin_width": [1]}'),
+    ("scan", '{"sigma": true}'),
+    ("prepare", '{"origin": false}'),
+    ("scan", '{"selector": 3}'),
+    ("prepare", '{"waveform": ["gaussian_flat_phase"]}'),
+    ("scan", '{"format": null}'),
+])
+def test_config_file_rejects_values_of_the_wrong_type(tmp_path, wave_csv, command, payload):
+    config = tmp_path / "conf.json"
+    config.write_text(payload)
+    argv = [command, "--config", str(config)]
+    if "out" not in payload:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    if "input" not in payload and "waveform" not in payload:
+        argv += ["--waveform", "gaussian_flat_phase"] if command == "prepare" \
+            else ["--input", str(wave_csv)]
+    assert run(*argv) == 12
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_flag_has_a_config_type():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    dests = {action.dest for sub in subparsers.choices.values() for action in sub._actions}
+    assert dests - {"help", "config", "theta", "seed"} == set(_CONFIG_TYPES)
+
+
+def test_config_file_accepts_numbers_and_strings(tmp_path):
+    config = tmp_path / "conf.json"
+    out = tmp_path / "m.json"
+    config.write_text(json.dumps({"sigma": 0, "origin": 1e-7, "bin_width": 2e-7,
+                                  "waveform": "gaussian_flat_phase", "bins": 8,
+                                  "selector": "uniform", "format": "json",
+                                  "out": str(out)}))
+    assert run("scan", "--config", str(config)) == 0
+    rmap = load_response_map(out)
+    assert rmap.meta["sigma"] == 0.0
+    assert (rmap.grid.bin_width, rmap.grid.origin) == (2e-7, 1e-7)
 
 
 def test_config_file_accepts_integer_counts(tmp_path):

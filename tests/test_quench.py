@@ -8,19 +8,23 @@ from qquench import (
     DegenerateBaselineError,
     IndexOutOfRangeError,
     NoiseModel,
-    QuenchConfig,
     ResponseMap,
-    apply_quench,
     builtin_waveform,
     dft_post_selector,
     make_state,
-    measure_with_noise,
-    projection_probability,
-    response_factor,
     scan,
     uniform_post_selector,
 )
-from support import oracle_probabilities, random_state, scaled_amplitudes
+from support import (
+    QuenchConfig,
+    apply_quench,
+    measure_with_noise,
+    oracle_probabilities,
+    projection_probability,
+    random_state,
+    response_factor,
+    scaled_amplitudes,
+)
 
 QUIET = NoiseModel(relative_sigma=0.0)
 

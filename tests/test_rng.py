@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qquench import rng
-from support import reference_normals
+from support import libm_reference_normals, reference_normals, reference_uniforms
 
 
 def test_mix64_is_deterministic_and_masked():
@@ -141,3 +144,63 @@ def test_normal_streams_are_uncorrelated():
     b = rng.normals(k2, counters)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 5 / np.sqrt(counters.size)
+
+
+# The 53-bit integers k behind a uniform u = (k + 1/2) * 2**-53 at the ends
+# and the quarter points of (0, 1], where the reduction of cos(2*pi*u) turns.
+EDGE_K = np.array([0, 1, 2**51 - 1, 2**51, 2**52 - 1, 2**52, 3 * 2**51, 2**53 - 1],
+                  dtype=np.uint64)
+
+
+def _uniforms(k):
+    return (k.astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _cos_two_pi(u):
+    return rng._mul_cos_two_pi(np.ones_like(u), u.copy(), np.empty_like(u))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs an extended-precision long double")
+def test_cos_factor_matches_a_long_double_cos():
+    k = np.random.default_rng(2024).integers(0, 2**53, size=2**20, dtype=np.uint64)
+    u = _uniforms(np.concatenate([EDGE_K, k]))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    exact = np.cos(two_pi * u.astype(np.longdouble))
+    err = np.abs(_cos_two_pi(u).astype(np.longdouble) - exact)
+    assert float(err.max()) <= 5e-16
+
+
+def test_cos_factor_reduction_is_exact():
+    u = _uniforms(EDGE_K)
+    one_minus = 1.0 - u
+    v = np.minimum(u, one_minus)
+    s = 0.25 - v
+    for ui, oi, vi, si in zip(u.tolist(), one_minus.tolist(), v.tolist(), s.tolist()):
+        fu = Fraction(ui)
+        assert fu.denominator <= 2**54 and 0 < fu <= 1
+        if fu >= Fraction(1, 2):  # 1 - u is the smaller one: Sterbenz
+            assert Fraction(oi) == 1 - fu
+        assert Fraction(vi) == min(fu, 1 - fu)
+        assert Fraction(si) == Fraction(1, 4) - Fraction(vi)
+
+
+def test_normals_move_at_most_a_few_ulp_from_libm_cos():
+    keys = rng.key_matrix(99, 8, (0.5, -0.5))[..., None]
+    counters = np.arange(20_000, dtype=np.uint64)
+    u1, _ = reference_uniforms(keys, counters)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    moved = np.abs(rng.normals(keys, counters) - libm_reference_normals(keys, counters))
+    assert np.all(moved <= 2e-15 * radius)
+    assert np.any(moved > 0)
+
+
+def test_scalar_normal_differs_from_vector_only_through_log():
+    key = rng.stream_key(17, 2, 0.4)
+    counters = np.arange(2000, dtype=np.uint64)
+    vec = rng.normals(key, counters)
+    u1, _ = reference_uniforms(np.array([key], dtype=np.uint64), counters)
+    same_log = np.array([math.log(u) for u in u1.tolist()]) == np.log(u1)
+    scalars = np.array([rng.normal(key, int(c)) for c in counters])
+    assert same_log.mean() > 0.5
+    assert np.array_equal(scalars[same_log], vec[same_log])
