@@ -21,9 +21,7 @@ from .fidelity import (
     FidelityScores,
     SweepResult,
     depth_sweep,
-    fidelity_amplitude,
     fidelity_overall,
-    fidelity_phase,
     score_reconstruction,
 )
 from .io import (
@@ -47,7 +45,6 @@ from .reconstruct import (
     invert_pm_halfpi,
     phase_envelope,
     reconstruct_wavefunction,
-    wrap_phase,
 )
 from .states import (
     DEFAULT_BIN_WIDTH,
@@ -58,7 +55,6 @@ from .states import (
     WavefunctionState,
     builtin_waveform,
     dft_post_selector,
-    inner_product,
     make_state,
     sample_envelope,
     uniform_post_selector,
@@ -91,11 +87,8 @@ __all__ = [
     "builtin_waveform",
     "depth_sweep",
     "dft_post_selector",
-    "fidelity_amplitude",
     "fidelity_overall",
-    "fidelity_phase",
     "gauge_fix",
-    "inner_product",
     "invert_general",
     "invert_pm_halfpi",
     "load_reconstruction",
@@ -115,5 +108,4 @@ __all__ = [
     "scan",
     "score_reconstruction",
     "uniform_post_selector",
-    "wrap_phase",
 ]

@@ -281,7 +281,7 @@ def cmd_scan(args) -> int:
     out = _require_out(args)
     qio.save_response_map(out, rmap, args.format)
     print(f"{out}: {state.grid.size} bins x {len(depths)} depths, "
-          f"P0 = {qio.fmt_float(rmap.baseline_p0)}")
+          f"P0 = {qio.fmt_float(rmap.p0)}")
     return EXIT_OK
 
 

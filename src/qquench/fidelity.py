@@ -124,21 +124,6 @@ def _envelope_correlation(rec, ref, degenerate_by_cosine: bool, valid=None):
     return _scalar_or_array(np.where(count == 0, 1.0, out))
 
 
-def fidelity_phase(phase_rec, phase_in) -> float:
-    """Normalized correlation of two phase envelopes.
-
-    When either envelope is identically zero the correlation degenerates;
-    the mean cosine of the pointwise phase difference is reported instead,
-    so two flat-phase envelopes score 1.
-    """
-    return _envelope_correlation(phase_rec, phase_in, degenerate_by_cosine=True)
-
-
-def fidelity_amplitude(amp_rec, amp_in) -> float:
-    """Normalized correlation of two amplitude envelopes."""
-    return _envelope_correlation(amp_rec, amp_in, degenerate_by_cosine=False)
-
-
 def resolution_floor(noise: NoiseModel | None) -> float:
     """Raw-magnitude threshold below which a bin counts as unresolved."""
     if noise is None or noise.noiseless:
@@ -226,7 +211,7 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     # Each column of a noiseless scan depends only on its own depth, so one
     # all-depth scan gives the same map as one scan per depth.
     quiet = NoiseModel(relative_sigma=0.0, seed=noise.seed, trials=1)
-    magnitudes = np.abs(scan(state, selector, depth_arr, quiet).response_matrix())
+    magnitudes = np.abs(scan(state, selector, depth_arr, quiet).p)
 
     if noise.noiseless:
         zeros = np.zeros(n_depths)

@@ -11,6 +11,16 @@ every double exactly. All writes are atomic: content goes to a temporary
 file in the destination directory first and is renamed into place, so a
 crash never leaves a half-written file behind.
 
+Each artifact is described once, by its table of columns below, and one
+CSV writer and reader and one JSON writer and reader serve all of them. A
+column runs along the bins (N), the depths (D) or both (N x D), or is a
+scalar. An artifact with an N x D column has a *long* CSV: one row per bin
+and depth, bin-major, where a depth column repeats once per bin. Every
+other CSV is *wide*: one row per bin, or one row per depth. A scalar
+repeats on every CSV row, and every row must carry the same value; the
+``bin`` column is the bin index. Every float read from an artifact must be
+finite, else :class:`NonFiniteInputError` is raised.
+
 The response-map and reconstruction CSVs carry no grid metadata (their
 columns are the plotting quantities only); the JSON mirrors do. CSV loaders
 therefore accept bin_width/origin arguments, defaulting to the standard
@@ -21,12 +31,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonFiniteInputError
 from .quench import ResponseMap
 from .reconstruct import (
     ReconstructionResult,
@@ -40,12 +52,52 @@ from .states import (
     make_state,
 )
 
-WAVEFORM_FIELDS = ("t", "amplitude", "phase")
-RESPONSE_FIELDS = ("bin", "theta", "P0", "Pr", "p")
-RECON_FIELDS = ("bin", "t", "re", "im", "abs2", "phase", "branch_ok")
-SWEEP_FIELDS = ("theta", "seed_count", "fw_mean", "fw_std",
-                "fp_mean", "fp_std", "fa_mean", "fa_std")
-MAP_FIELDS = ("bin", "theta", "abs_p")
+
+class _Column(NamedTuple):
+    """One column: its JSON key, CSV header (None if JSON only), axis
+    (``"N"``, ``"D"``, ``"ND"``, or ``""`` for a scalar) and type."""
+
+    key: str
+    csv: str | None
+    axis: str
+    kind: type
+    json: bool = True
+
+
+class _Artifact(NamedTuple):
+    """An artifact's JSON tag, CSV column order, columns in JSON key order,
+    and whether its JSON records the grid (``bin_width``, ``origin``)."""
+
+    tag: str
+    header: tuple
+    columns: tuple
+    grid: bool = True
+
+
+_BIN = _Column("bin", "bin", "N", int)  # a CSV's bin index
+_DEPTHS = _Column("depths", "theta", "D", float)
+_STATS = ("fw_mean", "fw_std", "fp_mean", "fp_std", "fa_mean", "fa_std")
+
+_WAVEFORM = _Artifact("waveform", ("t", "amplitude", "phase"), (
+    _Column("t", "t", "N", float), _Column("amp", "amplitude", "N", float),
+    _Column("phase", "phase", "N", float)))
+_RESPONSE_MAP = _Artifact("response_map", ("bin", "theta", "P0", "Pr", "p"), (
+    _DEPTHS, _Column("p0", "P0", "", float), _Column("pr", "Pr", "ND", float),
+    _Column("p", "p", "ND", float)))
+_RECONSTRUCTION = _Artifact(
+    "reconstruction", ("bin", "t", "re", "im", "abs2", "phase", "branch_ok"), (
+        _Column("t", "t", "N", float, json=False),
+        *(_Column(name, name, "N", float) for name in ("re", "im", "abs2", "phase")),
+        _Column("branch_ok", "branch_ok", "N", bool),
+        _Column("psi_re", None, "N", float), _Column("psi_im", None, "N", float)))
+_SWEEP_FIDELITY = _Artifact("sweep_fidelity", ("theta", "seed_count", *_STATS), (
+    _Column("seed_count", "seed_count", "", int), _DEPTHS,
+    *(_Column(name, name, "D", float) for name in _STATS)), grid=False)
+_SWEEP_MAP = _Artifact("sweep_map", ("bin", "theta", "abs_p"), (
+    _DEPTHS, _Column("magnitudes", "abs_p", "ND", float)))
+
+WAVEFORM_FIELDS, RESPONSE_FIELDS, RECON_FIELDS, SWEEP_FIELDS, MAP_FIELDS = (
+    art.header for art in (_WAVEFORM, _RESPONSE_MAP, _RECONSTRUCTION, _SWEEP_FIDELITY, _SWEEP_MAP))
 
 
 def fmt_float(x: float) -> str:
@@ -88,76 +140,132 @@ def resolve_format(path, fmt: str | None) -> str:
     return "json" if suffix == ".json" else "csv"
 
 
-def _floats(values) -> list:
-    """An array's doubles as a flat list of Python floats."""
-    return np.asarray(values, dtype=np.float64).ravel().tolist()
+def _format_tag(art: _Artifact) -> str:
+    return f"qquench.{art.tag}/2"
 
 
-def _fmt_column(values) -> list:
-    """One CSV column: every double with 17 significant digits."""
-    return [format(v, ".17g") for v in _floats(values)]
+def _finite(path, name: str, values):
+    """``values`` (an array or a float), unless one of them is NaN or Infinity."""
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise NonFiniteInputError(f"{path}: column {name!r} holds NaN or Infinity")
+    return values
 
 
-def _csv_text(header: Sequence[str], columns) -> str:
-    """The header line, then one line per row read across equal-length ``columns``."""
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+# -- writing ------------------------------------------------------------------
+
+def _cells(col: _Column, values) -> list:
+    """One column's CSV cells: floats with 17 significant digits, booleans as true/false."""
+    values = np.asarray(values, dtype=col.kind).ravel().tolist()
+    if col.kind is float:
+        return [format(v, ".17g") for v in values]
+    if col.kind is bool:
+        return ["true" if v else "false" for v in values]
+    return [str(v) for v in values]
 
 
-def _read_csv(path, header: Sequence[str]):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if tuple(rows[0]) != tuple(header):
-        raise ValueError(
-            f"{path}: expected header {','.join(header)}, got {','.join(rows[0])}"
-        )
-    return rows[1:]
-
-
-def _read_columns(path, header: Sequence[str]) -> dict:
-    rows = _read_csv(path, header)
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-
-def _parse_bool(text: str) -> bool:
-    key = text.strip().lower()
-    if key == "true":
-        return True
-    if key == "false":
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-def _format_tag(artifact: str) -> str:
-    return f"qquench.{artifact}/2"
-
-
-def _write_json(path, artifact: str, payload: dict) -> None:
-    """Write a v2 JSON artifact in one line; without ``indent`` the C encoder runs."""
-    text = json.dumps({"format": _format_tag(artifact), **payload}) + "\n"
+def _save(path, fmt: str | None, art: _Artifact, grid: BasisGrid, cols: dict, **head) -> None:
+    """Write ``cols``, keyed by JSON key, as ``art``; ``head`` leads the JSON object."""
+    if resolve_format(path, fmt) == "csv":
+        cells = {c.csv: _cells(c, cols[c.key]) for c in art.columns if c.csv in art.header}
+        rows = max(map(len, cells.values()))
+        if "bin" in art.header:
+            cells["bin"] = _cells(_BIN, np.repeat(np.arange(grid.size), rows // grid.size))
+        # a depth column repeats once per bin, a scalar on every row
+        columns = [c if len(c) == rows else c * (rows // len(c)) for c in map(cells.get, art.header)]
+        text = "\n".join([",".join(art.header), *map(",".join, zip(*columns))]) + "\n"
+    else:
+        payload = {"format": _format_tag(art), **head}
+        if art.grid:
+            payload.update(bin_width=grid.bin_width, origin=grid.origin)
+        payload.update((c.key, np.asarray(cols[c.key], dtype=c.kind).tolist())
+                       for c in art.columns if c.json)
+        # without ``indent`` the C encoder runs
+        text = json.dumps(payload, allow_nan=False) + "\n"
     atomic_write_text(path, text)
 
 
-def _read_json(path, artifact: str):
-    """Load a JSON artifact: ``(payload, True)`` for v2, ``(payload, False)`` for v1.
+# -- reading CSV --------------------------------------------------------------
 
-    A v1 file has no ``format`` tag; any tag other than this artifact's v2
-    tag is rejected.
+def _parse_bool(text: str) -> bool:
+    key = text.strip().lower()
+    if key not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return key == "true"
+
+
+def _bin_major(path, what: str, table: np.ndarray) -> np.ndarray:
+    """Group rows ``[bin, theta, ...]`` by bin into an (N, D, columns) block.
+
+    Rows are sorted by bin in a stable order, so each bin keeps its own
+    depth order, which must equal every other bin's; the bins must be
+    0..N-1, each with the same number of rows.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    tag = payload.get("format")
-    if tag is None:
-        return payload, False
-    if tag != _format_tag(artifact):
-        raise ValueError(f"{path}: unsupported format {tag!r}; "
-                         f"a {artifact} file is {_format_tag(artifact)!r}")
-    return payload, True
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    if table.size == 0 or table[0, 0] != 0 or table[-1, 0] >= len(table):
+        raise ValueError(f"{path}: {what} must cover bins 0..N-1")
+    counts = np.bincount(table[:, 0].astype(np.int64))
+    if np.any(counts != counts[0]):
+        raise ValueError(f"{path}: {what} must cover bins 0..N-1 "
+                         "with the same number of depths each")
+    block = table.reshape(counts.size, counts[0], table.shape[1])
+    if np.any(block[..., 1] != block[0, :, 1]):
+        raise ValueError(f"{path}: bins of the {what} differ in their depths")
+    return block
 
+
+def _table(path, art: _Artifact, rows: list) -> dict:
+    """Columns by JSON key, plus ``bin``, from ``rows`` of values in ``art.header`` order.
+
+    A long table is regrouped by bin into (N, D) blocks (its columns are
+    numbers); a wide one keeps its columns.
+    """
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    what = art.tag.replace("_", " ")
+    named = {c.csv: c for c in art.columns}
+    flat, cols = [], {}
+    for i, col in enumerate(named.get(name, _BIN) for name in art.header):
+        cells = [row[i] for row in rows]
+        try:
+            values = np.array([_parse_bool(v) for v in cells] if col.kind is bool
+                              else [col.kind(v) for v in cells], dtype=col.kind)
+        except OverflowError:
+            raise ValueError(f"{path}: column {col.csv!r} holds a number out of range") from None
+        if col.kind is float:
+            _finite(path, col.csv, values)
+        if not col.axis and np.any(values != values[0]):
+            raise ValueError(f"{path}: rows of the {what} differ in their {col.csv}")
+        flat.append((col, values))
+        cols[col.key] = values if col.axis else values[0]
+    if any(c.axis == "ND" for c in art.columns):
+        block = _bin_major(path, what, np.column_stack([values for _, values in flat]))
+        cols["bin"] = np.arange(len(block))
+        cols.update((col.key, block[0, :, i] if col.axis == "D" else block[..., i])
+                    for i, (col, _) in enumerate(flat) if col.axis in ("D", "ND"))
+    return cols
+
+
+def _read_csv(path, art: _Artifact) -> dict:
+    """``art``'s CSV as columns by JSON key, plus ``bin``."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    if tuple(rows[0]) != art.header:
+        raise ValueError(f"{path}: expected header {','.join(art.header)}, "
+                         f"got {','.join(rows[0])}")
+    if any(len(row) != len(art.header) for row in rows):
+        raise ValueError(f"{path}: every row must have {len(art.header)} cells")
+    return _table(path, art, rows[1:])
+
+
+def _by_csv(art: _Artifact, cols: dict) -> dict:
+    """Columns keyed by their CSV names, in CSV order."""
+    key = {c.csv: c.key for c in art.columns}
+    return {name: cols[key.get(name, name)] for name in art.header}
+
+
+# -- reading JSON -------------------------------------------------------------
 
 def _field(path, payload: dict, name: str):
     """``payload[name]``; a missing or null field raises ``ValueError`` naming it."""
@@ -176,78 +284,71 @@ def _records(path, payload: dict, name: str) -> list:
 
 
 def _number(path, payload: dict, name: str, kind=float):
+    """``payload[name]`` as a ``kind``; a float must be finite."""
     value = _field(path, payload, name)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        if isinstance(value, float):  # int() of NaN or Infinity
+            _finite(path, name, value)
         raise ValueError(f"{path}: field {name!r} must be a number, got {value!r}") from None
+    return _finite(path, name, number) if kind is float else number
 
 
-def _column(path, payload: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """``payload[name]`` as an array of ``shape``; a None in ``shape`` takes any length.
+def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
+    """``payload[col.key]`` as an array whose axes match the lengths in ``sizes``.
 
     A ragged column, or one whose length differs from the bin or depth
-    count, raises ``ValueError``.
+    count seen so far, raises ``ValueError``; an axis seen first is
+    recorded in ``sizes``.
     """
     try:
-        col = np.array(_field(path, payload, name), dtype=dtype)
+        values = np.array(_field(path, payload, col.key), dtype=col.kind)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: column {name!r} is not an array of numbers ({exc})") from None
-    if col.ndim != len(shape) or any(want is not None and got != want
-                                     for got, want in zip(col.shape, shape)):
-        expected = tuple("N" if want is None else want for want in shape)
-        raise ValueError(f"{path}: column {name!r} has shape {col.shape}, expected {expected}")
-    return col
+        raise ValueError(f"{path}: column {col.key!r} is not an array of numbers ({exc})") from None
+    if values.ndim != len(col.axis) or any(sizes.setdefault(axis, got) != got
+                                           for axis, got in zip(col.axis, values.shape)):
+        expected = tuple(sizes.get(axis, axis) for axis in col.axis)
+        raise ValueError(f"{path}: column {col.key!r} has shape {values.shape}, "
+                         f"expected {expected}")
+    return _finite(path, col.key, values) if col.kind is float else values
 
 
-def _json_origin(path, payload: dict) -> float:
-    return _number(path, payload, "origin") if "origin" in payload else 0.0
+def _read_json(path, art: _Artifact, v1=None):
+    """Load ``art``'s JSON: ``(payload, columns by key)``.
+
+    A file without a ``format`` tag is version 1: ``v1(path, payload)``
+    reads its per-bin records, or, where ``v1`` is None, the version 1
+    layout is the columnar one. Any other tag is rejected.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    tag = payload.get("format")
+    if tag is not None and tag != _format_tag(art):
+        raise ValueError(f"{path}: unsupported format {tag!r}; "
+                         f"a {art.tag} file is {_format_tag(art)!r}")
+    if tag is None and v1 is not None:
+        return payload, v1(path, payload)
+    sizes = {}
+    return payload, {c.key: _column(path, payload, c, sizes) if c.axis
+                     else _number(path, payload, c.key, c.kind)
+                     for c in art.columns if c.json}
 
 
 def _json_grid(path, payload: dict, size: int) -> BasisGrid:
-    return BasisGrid(size=size, bin_width=_number(path, payload, "bin_width"),
-                     origin=_json_origin(path, payload))
-
-
-def _bin_major(path, what: str, table: np.ndarray) -> np.ndarray:
-    """Group rows ``[bin, theta, ...]`` by bin into an (N, D, columns) block.
-
-    Rows are sorted by bin in a stable order, so each bin keeps its own
-    depth order, which must equal every other bin's; the bins must be
-    0..N-1, each with the same number of rows.
-    """
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    if table.size == 0 or table[0, 0] != 0:
-        raise ValueError(f"{path}: {what} must cover bins 0..N-1")
-    counts = np.bincount(table[:, 0].astype(np.int64))
-    if np.any(counts != counts[0]):
-        raise ValueError(f"{path}: {what} must cover bins 0..N-1 "
-                         "with the same number of depths each")
-    block = table.reshape(counts.size, counts[0], table.shape[1])
-    if np.any(block[..., 1] != block[0, :, 1]):
-        raise ValueError(f"{path}: bins of the {what} differ in their depths")
-    return block
+    origin = _number(path, payload, "origin") if "origin" in payload else 0.0
+    return BasisGrid(size=size, bin_width=_number(path, payload, "bin_width"), origin=origin)
 
 
 # -- waveform files ---------------------------------------------------------
 
 def save_waveform(path, state: WavefunctionState, fmt: str | None = None) -> None:
     """Write a state's amplitude/phase envelope sampled at bin centers."""
-    fmt = resolve_format(path, fmt)
-    times = state.grid.times()
-    amps = np.abs(state.amplitudes)
-    phases = phase_envelope(state.amplitudes)
-    if fmt == "csv":
-        columns = [_fmt_column(c) for c in (times, amps, phases)]
-        atomic_write_text(path, _csv_text(WAVEFORM_FIELDS, columns))
-        return
-    _write_json(path, "waveform", {
-        "bin_width": state.grid.bin_width,
-        "origin": state.grid.origin,
-        "t": _floats(times),
-        "amp": _floats(amps),
-        "phase": _floats(phases),
-    })
+    _save(path, fmt, _WAVEFORM, state.grid, {"t": state.grid.times(),
+                                              "amp": np.abs(state.amplitudes),
+                                              "phase": phase_envelope(state.amplitudes)})
 
 
 def _grid_from_times(times: np.ndarray) -> BasisGrid:
@@ -261,104 +362,65 @@ def _grid_from_times(times: np.ndarray) -> BasisGrid:
                      origin=float(times[0]) - width / 2.0)
 
 
+def _v1_waveform(path, payload: dict) -> dict:
+    samples = _records(path, payload, "samples")
+    return {name: np.array([_number(path, s, name) for s in samples]) for name in ("amp", "phase")}
+
+
 def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
     """Read a waveform file and return the normalized state it describes."""
-    fmt = resolve_format(path, fmt)
-    if fmt == "csv":
-        rows = _read_csv(path, WAVEFORM_FIELDS)
-        data = np.array([[float(v) for v in row] for row in rows])
-        grid = _grid_from_times(data[:, 0])
-        amps, phases = data[:, 1], data[:, 2]
+    if resolve_format(path, fmt) == "csv":
+        cols = _read_csv(path, _WAVEFORM)
+        grid = _grid_from_times(cols["t"])
     else:
-        payload, v2 = _read_json(path, "waveform")
-        if v2:
-            amps = _column(path, payload, "amp", (None,))
-            phases = _column(path, payload, "phase", amps.shape)
-            _column(path, payload, "t", amps.shape)
-        else:
-            samples = _records(path, payload, "samples")
-            amps = np.array([_number(path, s, "amp") for s in samples])
-            phases = np.array([_number(path, s, "phase") for s in samples])
-        grid = _json_grid(path, payload, amps.size)
+        payload, cols = _read_json(path, _WAVEFORM, _v1_waveform)
+        grid = _json_grid(path, payload, cols["amp"].size)
+    amps = cols["amp"]
     if np.any(amps < 0):
         raise ValueError("waveform amplitude column must be >= 0")
-    return make_state(grid, amps * np.exp(1j * phases))
+    return make_state(grid, amps * np.exp(1j * cols["phase"]))
 
 
 # -- response-map files -----------------------------------------------------
 
 def save_response_map(path, rmap: ResponseMap, fmt: str | None = None) -> None:
     """Write a response map; JSON also records the grid and ``rmap.meta``."""
-    fmt = resolve_format(path, fmt)
-    if fmt == "csv":
-        n, d = rmap.pr.shape
-        columns = [
-            [str(u) for u in range(n) for _ in range(d)],
-            _fmt_column(rmap.depths) * n,
-            _fmt_column([rmap.p0]) * (n * d),
-            _fmt_column(rmap.pr),
-            _fmt_column(rmap.p),
-        ]
-        atomic_write_text(path, _csv_text(RESPONSE_FIELDS, columns))
-        return
     from . import __version__  # the package finishes importing io before it sets this
 
-    _write_json(path, "response_map", {
-        "meta": {**rmap.meta, "version": __version__},
-        "bin_width": rmap.grid.bin_width,
-        "origin": rmap.grid.origin,
-        "depths": list(rmap.depths),
-        "p0": rmap.p0,
-        "pr": rmap.pr.tolist(),
-        "p": rmap.p.tolist(),
-    })
+    _save(path, fmt, _RESPONSE_MAP, rmap.grid,
+          {"depths": rmap.depths, "p0": rmap.p0, "pr": rmap.pr, "p": rmap.p},
+          meta={**rmap.meta, "version": __version__})
 
 
-def _response_map(path, rows, bin_width, origin) -> ResponseMap:
-    """Build a map from rows ``[bin, theta, P0, Pr, p]``, one per measurement.
-
-    The map holds one baseline, so every row must carry the same P0.
-    """
-    block = _bin_major(path, "response map", np.array(rows, dtype=np.float64).reshape(-1, 5))
-    p0 = block[..., 2]
-    if np.any(p0 != p0[0, 0]):
-        raise ValueError(f"{path}: bins of the response map differ in their baseline P0")
-    return ResponseMap(grid=BasisGrid(size=block.shape[0], bin_width=bin_width, origin=origin),
-                       depths=tuple(block[0, :, 1].tolist()), pr=block[..., 3], p=block[..., 4],
-                       p0=p0[0, 0])
+def _v1_response_map(path, payload: dict) -> dict:
+    """A v1 map's records are the rows of its CSV; they must list the map's depths."""
+    rows = [[_number(path, rec, "bin", int), _number(path, e, "theta"), _number(path, rec, "P0"),
+             _number(path, e, "Pr"), _number(path, e, "p")]
+            for rec in _records(path, payload, "records")
+            for e in _records(path, rec, "entries")]
+    cols = _table(path, _RESPONSE_MAP, rows)
+    if cols["depths"].tolist() != _column(path, payload, _DEPTHS, {}).tolist():
+        raise ValueError(f"{path}: record depths differ from the map's depth list")
+    return cols
 
 
 def load_response_map(path, fmt: str | None = None,
                       bin_width: float = DEFAULT_BIN_WIDTH,
                       origin: float = 0.0) -> ResponseMap:
     """Read a response map; CSV needs the grid supplied out of band."""
-    fmt = resolve_format(path, fmt)
-    if fmt == "csv":
-        rows = [[int(row[0]), *map(float, row[1:])]
-                for row in _read_csv(path, RESPONSE_FIELDS)]
-        return _response_map(path, rows, bin_width, origin)
-
-    payload, v2 = _read_json(path, "response_map")
-    if v2:
-        depths = _column(path, payload, "depths", (None,))
-        pr = _column(path, payload, "pr", (None, depths.size))
-        p = _column(path, payload, "p", pr.shape)
-        meta = _field(path, payload, "meta")
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: meta must be a JSON object")
-        return ResponseMap(grid=_json_grid(path, payload, pr.shape[0]),
-                           depths=tuple(depths.tolist()), pr=pr, p=p,
-                           p0=_number(path, payload, "p0"), meta=meta)
-
-    rows = [[_number(path, rec, "bin", int), _number(path, e, "theta"), _number(path, rec, "P0"),
-             _number(path, e, "Pr"), _number(path, e, "p")]
-            for rec in _records(path, payload, "records")
-            for e in _records(path, rec, "entries")]
-    rmap = _response_map(path, rows, _number(path, payload, "bin_width"),
-                         _json_origin(path, payload))
-    if rmap.depths != tuple(_column(path, payload, "depths", (None,)).tolist()):
-        raise ValueError(f"{path}: record depths differ from the map's depth list")
-    return rmap
+    meta = {}
+    if resolve_format(path, fmt) == "csv":
+        cols = _read_csv(path, _RESPONSE_MAP)
+        grid = BasisGrid(size=len(cols["pr"]), bin_width=bin_width, origin=origin)
+    else:
+        payload, cols = _read_json(path, _RESPONSE_MAP, _v1_response_map)
+        grid = _json_grid(path, payload, len(cols["pr"]))
+        if "format" in payload:
+            meta = _field(path, payload, "meta")
+            if not isinstance(meta, dict):
+                raise ValueError(f"{path}: meta must be a JSON object")
+    return ResponseMap(grid=grid, depths=cols["depths"], pr=cols["pr"], p=cols["p"],
+                       p0=cols["p0"], meta=meta)
 
 
 # -- reconstruction files ---------------------------------------------------
@@ -366,30 +428,22 @@ def load_response_map(path, fmt: str | None = None,
 def save_reconstruction(path, result: ReconstructionResult,
                         fmt: str | None = None) -> None:
     """Write per-bin inversion output; re/im are the raw unnormalized values."""
-    fmt = resolve_format(path, fmt)
-    abs2 = result.amplitude_env**2
-    branch_ok = np.asarray(result.branch_ok, dtype=bool).tolist()
-    if fmt == "csv":
-        columns = [
-            [str(u) for u in range(result.grid.size)],
-            *map(_fmt_column, (result.grid.times(), result.raw_re, result.raw_im, abs2,
-                               result.phase_env)),
-            ["true" if ok else "false" for ok in branch_ok],
-        ]
-        atomic_write_text(path, _csv_text(RECON_FIELDS, columns))
-        return
     psi = np.asarray(result.psi, dtype=np.complex128)
-    _write_json(path, "reconstruction", {
-        "bin_width": result.grid.bin_width,
-        "origin": result.grid.origin,
-        "re": _floats(result.raw_re),
-        "im": _floats(result.raw_im),
-        "abs2": _floats(abs2),
-        "phase": _floats(result.phase_env),
-        "branch_ok": branch_ok,
-        "psi_re": _floats(psi.real),
-        "psi_im": _floats(psi.imag),
-    })
+    _save(path, fmt, _RECONSTRUCTION, result.grid, {
+        "t": result.grid.times(), "re": result.raw_re, "im": result.raw_im,
+        "abs2": result.amplitude_env**2, "phase": result.phase_env,
+        "branch_ok": result.branch_ok, "psi_re": psi.real, "psi_im": psi.imag})
+
+
+def _v1_reconstruction(path, payload: dict) -> dict:
+    bins, psi = _records(path, payload, "bins"), _records(path, payload, "psi")
+    if len(psi) != len(bins):
+        raise ValueError(f"{path}: psi has {len(psi)} entries for {len(bins)} bins")
+    cols = {name: np.array([_number(path, b, name) for b in bins]) for name in ("re", "im")}
+    cols["branch_ok"] = np.array([bool(_field(path, b, "branch_ok")) for b in bins])
+    cols.update((f"psi_{part}", np.array([_number(path, z, part) for z in psi]))
+                for part in ("re", "im"))
+    return cols
 
 
 def load_reconstruction(path, fmt: str | None = None,
@@ -401,101 +455,46 @@ def load_reconstruction(path, fmt: str | None = None,
     normalized psi). CSV is a presentation format without psi; it loads as
     a dict of column arrays instead.
     """
-    fmt = resolve_format(path, fmt)
-    if fmt == "json":
-        payload, v2 = _read_json(path, "reconstruction")
-        if v2:
-            raw_re = _column(path, payload, "re", (None,))
-            raw_im, _, _, psi_re, psi_im = (
-                _column(path, payload, name, raw_re.shape)
-                for name in ("im", "abs2", "phase", "psi_re", "psi_im"))
-            branch_ok = _column(path, payload, "branch_ok", raw_re.shape, dtype=bool)
-            psi = np.empty(raw_re.shape, dtype=np.complex128)
-            psi.real, psi.imag = psi_re, psi_im
-        else:
-            bins, psi = _records(path, payload, "bins"), _records(path, payload, "psi")
-            if len(psi) != len(bins):
-                raise ValueError(f"{path}: psi has {len(psi)} entries for {len(bins)} bins")
-            raw_re = np.array([_number(path, b, "re") for b in bins])
-            raw_im = np.array([_number(path, b, "im") for b in bins])
-            branch_ok = np.array([bool(_field(path, b, "branch_ok")) for b in bins])
-            psi = np.array([complex(_number(path, z, "re"), _number(path, z, "im"))
-                            for z in psi])
-        return ReconstructionResult(
-            grid=_json_grid(path, payload, raw_re.size), raw_re=raw_re, raw_im=raw_im, psi=psi,
-            amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
-            branch_ok=branch_ok, nodes=amplitude_nodes(psi),
-        )
-    cols = _read_columns(path, RECON_FIELDS)
-    return {
-        "bin": np.array([int(v) for v in cols["bin"]]),
-        **{name: np.array([float(v) for v in cols[name]]) for name in RECON_FIELDS[1:-1]},
-        "branch_ok": np.array([_parse_bool(v) for v in cols["branch_ok"]]),
-    }
+    if resolve_format(path, fmt) == "csv":
+        return _by_csv(_RECONSTRUCTION, _read_csv(path, _RECONSTRUCTION))
+    payload, cols = _read_json(path, _RECONSTRUCTION, _v1_reconstruction)
+    psi = np.empty(cols["re"].shape, dtype=np.complex128)
+    psi.real, psi.imag = cols["psi_re"], cols["psi_im"]
+    return ReconstructionResult(
+        grid=_json_grid(path, payload, psi.size), raw_re=cols["re"], raw_im=cols["im"],
+        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
+        branch_ok=cols["branch_ok"], nodes=amplitude_nodes(psi),
+    )
 
 
 # -- sweep files ------------------------------------------------------------
 
 def save_sweep_fidelity(path, sweep, fmt: str | None = None) -> None:
     """Write the per-depth fidelity statistics table."""
-    fmt = resolve_format(path, fmt)
-    stats = [getattr(sweep, name) for name in SWEEP_FIELDS[2:]]
-    if fmt == "csv":
-        columns = [_fmt_column(sweep.depths), [str(sweep.seed_count)] * sweep.depths.size,
-                   *map(_fmt_column, stats)]
-        atomic_write_text(path, _csv_text(SWEEP_FIELDS, columns))
-        return
-    _write_json(path, "sweep_fidelity", {
-        "seed_count": int(sweep.seed_count),
-        "depths": _floats(sweep.depths),
-        **{name: _floats(col) for name, col in zip(SWEEP_FIELDS[2:], stats)},
-    })
+    _save(path, fmt, _SWEEP_FIDELITY, sweep.grid,
+          {c.key: getattr(sweep, c.key) for c in _SWEEP_FIDELITY.columns})
 
 
 def save_sweep_map(path, sweep, fmt: str | None = None) -> None:
     """Write the |p(bin, depth)| magnitude table for heat-map plotting."""
-    fmt = resolve_format(path, fmt)
-    mags = sweep.response_magnitudes
-    if fmt == "csv":
-        n, d = mags.shape
-        columns = [[str(u) for u in range(n) for _ in range(d)],
-                   _fmt_column(sweep.depths) * n, _fmt_column(mags)]
-        atomic_write_text(path, _csv_text(MAP_FIELDS, columns))
-        return
-    _write_json(path, "sweep_map", {
-        "bin_width": sweep.grid.bin_width,
-        "origin": sweep.grid.origin,
-        "depths": _floats(sweep.depths),
-        "magnitudes": np.asarray(mags, dtype=np.float64).tolist(),
-    })
+    _save(path, fmt, _SWEEP_MAP, sweep.grid,
+          {"depths": sweep.depths, "magnitudes": sweep.response_magnitudes})
 
 
 def load_sweep_fidelity(path, fmt: str | None = None) -> dict:
     """Read a fidelity table back as a dict of column arrays."""
-    if resolve_format(path, fmt) == "csv":
-        cols = _read_columns(path, SWEEP_FIELDS)
-        out = {name: np.array([float(v) for v in cols[name]]) for name in SWEEP_FIELDS}
-        out["seed_count"] = np.array([int(v) for v in cols["seed_count"]], dtype=np.int64)
-        return out
     # v1 and v2 share the columnar layout; v2 only adds the tag
-    payload, _ = _read_json(path, "sweep_fidelity")
-    depths = _column(path, payload, "depths", (None,))
-    out = {"theta": depths,
-           "seed_count": np.full(depths.size, _number(path, payload, "seed_count", int),
-                                 dtype=np.int64)}
-    out.update((name, _column(path, payload, name, depths.shape)) for name in SWEEP_FIELDS[2:])
-    return out
+    cols = (_read_csv(path, _SWEEP_FIDELITY) if resolve_format(path, fmt) == "csv"
+            else _read_json(path, _SWEEP_FIDELITY)[1])
+    cols["seed_count"] = np.full(cols["depths"].size, cols["seed_count"], dtype=np.int64)
+    return _by_csv(_SWEEP_FIDELITY, cols)
 
 
 def load_sweep_map(path, fmt: str | None = None) -> dict:
     """Read a magnitude map back as a dict with bins, depths, magnitudes."""
-    if resolve_format(path, fmt) == "json":
-        payload, _ = _read_json(path, "sweep_map")
-        depths = _column(path, payload, "depths", (None,))
-        mags = _column(path, payload, "magnitudes", (None, depths.size))
-        return {"bin": np.arange(mags.shape[0]), "theta": depths, "abs_p": mags}
-    rows = _read_csv(path, MAP_FIELDS)
-    table = np.array([[int(r[0]), float(r[1]), float(r[2])] for r in rows],
-                     dtype=np.float64).reshape(-1, 3)
-    block = _bin_major(path, "magnitude map", table)
-    return {"bin": np.arange(block.shape[0]), "theta": block[0, :, 1], "abs_p": block[..., 2]}
+    if resolve_format(path, fmt) == "csv":
+        cols = _read_csv(path, _SWEEP_MAP)
+    else:
+        payload, cols = _read_json(path, _SWEEP_MAP)
+        _json_grid(path, payload, len(cols["magnitudes"]))  # not returned, but must be valid
+    return _by_csv(_SWEEP_MAP, {"bin": np.arange(len(cols["magnitudes"])), **cols})

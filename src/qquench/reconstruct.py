@@ -122,11 +122,6 @@ def invert_general(p_plus, p_minus, theta):
     return re, im, ok
 
 
-def wrap_phase(phi):
-    """Wrap angles to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(phi, dtype=np.float64), 2.0 * np.pi)
-
-
 def amplitude_nodes(psi, tol: float = NODE_TOL) -> np.ndarray:
     """Boolean mask of bins whose amplitude is below the node threshold."""
     return np.abs(np.asarray(psi)) < tol

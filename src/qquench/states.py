@@ -2,7 +2,7 @@
 
 Everything downstream (quench scans, reconstruction, fidelities) works with
 unit-norm amplitude vectors over an ordered basis of N bins. This module owns
-construction, normalization, inner products and the post-selection states.
+construction, normalization and the post-selection states.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ def make_state(grid: BasisGrid, raw) -> WavefunctionState:
     if norm == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
     return WavefunctionState(grid, arr / norm)
-
-
-def inner_product(x, y) -> complex:
-    """Bracket of x against y, conjugating x: sum_u conj(x_u) y_u."""
-    if x.grid != y.grid:
-        raise DimensionMismatchError(f"grids differ: {x.grid} vs {y.grid}")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def uniform_post_selector(grid: BasisGrid) -> PostSelector:

@@ -2,7 +2,7 @@
 direct-expansion oracle the pipeline is checked against, the per-bin quench
 and measurement formulas, the per-scan
 finishing and scoring formulas the block code is checked against, and the
-version 1 file writers the file formats are checked against."""
+version 1 and version 2 file writers the file formats are checked against."""
 
 import cmath
 import csv
@@ -22,7 +22,6 @@ from qquench import (
     ReconstructionResult,
     WavefunctionState,
     amplitude_nodes,
-    inner_product,
     make_state,
     phase_envelope,
 )
@@ -127,7 +126,7 @@ def apply_quench(state: WavefunctionState, q: QuenchConfig) -> WavefunctionState
 
 def projection_probability(state: WavefunctionState, selector: PostSelector) -> float:
     """Probability of projecting ``state`` onto the post-selection state."""
-    return abs(inner_product(selector, state)) ** 2
+    return abs(np.vdot(selector.amplitudes, state.amplitudes)) ** 2
 
 
 def response_factor(measured_pr: float, baseline_p0: float) -> float:
@@ -373,6 +372,76 @@ def v1_save_sweep_map(path, sweep, fmt):
         "magnitudes": [[float(v) for v in row] for row in mags],
     }
     _v1_write(path, fmt, ("bin", "theta", "abs_p"), rows, payload)
+
+
+# The JSON version 2 writers as they stood before io.py described each
+# artifact by one column table; with the version 1 CSV writers above they
+# pin the bytes of every artifact in both formats.
+
+def _v2_floats(values) -> list:
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
+
+
+def _v2_write(path, artifact, payload):
+    text = json.dumps({"format": f"qquench.{artifact}/2", **payload}) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def v2_save_waveform(path, state):
+    _v2_write(path, "waveform", {
+        "bin_width": state.grid.bin_width,
+        "origin": state.grid.origin,
+        "t": _v2_floats(state.grid.times()),
+        "amp": _v2_floats(np.abs(state.amplitudes)),
+        "phase": _v2_floats(phase_envelope(state.amplitudes)),
+    })
+
+
+def v2_save_response_map(path, rmap):
+    from qquench import __version__
+
+    _v2_write(path, "response_map", {
+        "meta": {**rmap.meta, "version": __version__},
+        "bin_width": rmap.grid.bin_width,
+        "origin": rmap.grid.origin,
+        "depths": list(rmap.depths),
+        "p0": rmap.p0,
+        "pr": rmap.pr.tolist(),
+        "p": rmap.p.tolist(),
+    })
+
+
+def v2_save_reconstruction(path, result):
+    psi = np.asarray(result.psi, dtype=np.complex128)
+    _v2_write(path, "reconstruction", {
+        "bin_width": result.grid.bin_width,
+        "origin": result.grid.origin,
+        "re": _v2_floats(result.raw_re),
+        "im": _v2_floats(result.raw_im),
+        "abs2": _v2_floats(result.amplitude_env**2),
+        "phase": _v2_floats(result.phase_env),
+        "branch_ok": np.asarray(result.branch_ok, dtype=bool).tolist(),
+        "psi_re": _v2_floats(psi.real),
+        "psi_im": _v2_floats(psi.imag),
+    })
+
+
+def v2_save_sweep_fidelity(path, sweep):
+    _v2_write(path, "sweep_fidelity", {
+        "seed_count": int(sweep.seed_count),
+        "depths": _v2_floats(sweep.depths),
+        **{name: _v2_floats(getattr(sweep, name)) for name in SWEEP_STATS},
+    })
+
+
+def v2_save_sweep_map(path, sweep):
+    _v2_write(path, "sweep_map", {
+        "bin_width": sweep.grid.bin_width,
+        "origin": sweep.grid.origin,
+        "depths": _v2_floats(sweep.depths),
+        "magnitudes": np.asarray(sweep.response_magnitudes, dtype=np.float64).tolist(),
+    })
 
 
 def edit_json(path, field: str, value):

@@ -261,6 +261,33 @@ def test_prepare_v1_waveform_with_a_missing_or_null_field(tmp_path, wave_csv, ca
     assert f"missing or null field {field.split('.')[-1]!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt,column,value", [
+    ("json", "p", math.nan), ("json", "p", math.inf), ("json", "p0", math.nan),
+    ("csv", "p", math.nan),
+])
+def test_reconstruct_rejects_a_map_holding_nan_or_infinity(tmp_path, wave_csv, capsys,
+                                                           fmt, column, value):
+    map_path = tmp_path / f"map.{fmt}"
+    assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    if fmt == "json":
+        payload = json.loads(map_path.read_text())
+        if column == "p0":
+            payload["p0"] = value
+        else:
+            payload[column][3][0] = value
+        map_path.write_text(json.dumps(payload))
+    else:
+        lines = map_path.read_text().split("\n")
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index(column)] = str(value)
+        lines[4] = ",".join(cells)
+        map_path.write_text("\n".join(lines))
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 5
+    assert f"{map_path}: column {column!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_incomplete_depths(tmp_path, wave_csv):
     map_path = tmp_path / "map.csv"
     assert run("scan", "--input", str(wave_csv), "--sigma", "0",

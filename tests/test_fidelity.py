@@ -8,9 +8,7 @@ from qquench import (
     builtin_waveform,
     depth_sweep,
     dft_post_selector,
-    fidelity_amplitude,
     fidelity_overall,
-    fidelity_phase,
     make_state,
     reconstruct_wavefunction,
     scan,
@@ -18,6 +16,7 @@ from qquench import (
     uniform_post_selector,
 )
 from qquench import rng
+from qquench.fidelity import _envelope_correlation
 from support import branch_valid_state
 
 QUIET = NoiseModel(relative_sigma=0.0)
@@ -48,29 +47,29 @@ def test_fidelity_overall_zero_vector():
 
 def test_fidelity_phase_identical_envelopes():
     phi = np.array([0.1, -0.5, 1.2])
-    assert fidelity_phase(phi, phi) == pytest.approx(1.0, abs=1e-14)
+    assert _envelope_correlation(phi, phi, True) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_phase_flat_envelopes_score_one():
     zeros = np.zeros(5)
-    assert fidelity_phase(zeros, zeros) == 1.0
+    assert _envelope_correlation(zeros, zeros, True) == 1.0
 
 
 def test_fidelity_phase_flat_reference_uses_mean_cosine():
     noisy = np.array([0.01, -0.02, 0.015])
-    got = fidelity_phase(noisy, np.zeros(3))
+    got = _envelope_correlation(noisy, np.zeros(3), True)
     assert got == pytest.approx(np.mean(np.cos(noisy)), abs=1e-15)
     assert got > 0.99
 
 
 def test_fidelity_phase_anticorrelated_is_negative():
     phi = np.array([0.3, -0.7, 1.1])
-    assert fidelity_phase(phi, -phi) == pytest.approx(-1.0, abs=1e-14)
+    assert _envelope_correlation(phi, -phi, True) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_fidelity_amplitude_identical():
     amp = np.array([0.2, 0.5, 0.6])
-    assert fidelity_amplitude(amp, amp) == pytest.approx(1.0, abs=1e-14)
+    assert _envelope_correlation(amp, amp, False) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_amplitude_bounded_by_one():
@@ -78,14 +77,14 @@ def test_fidelity_amplitude_bounded_by_one():
     for _ in range(20):
         a = np.abs(rng.standard_normal(6))
         b = np.abs(rng.standard_normal(6))
-        assert fidelity_amplitude(a, b) <= 1.0 + 1e-12
+        assert _envelope_correlation(a, b, False) <= 1.0 + 1e-12
 
 
 def test_fidelity_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        fidelity_phase(np.zeros(3), np.zeros(4))
+        _envelope_correlation(np.zeros(3), np.zeros(4), True)
     with pytest.raises(ValueError):
-        fidelity_amplitude(np.zeros(3), np.zeros(4))
+        _envelope_correlation(np.zeros(3), np.zeros(4), False)
 
 
 def test_score_noiseless_round_trip_is_perfect():

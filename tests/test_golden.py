@@ -22,10 +22,6 @@ FLOAT_ATOL = 1e-11
 FLOAT_RTOL = 1e-12
 
 
-def _manifest():
-    return json.loads((regen.FOLDER / regen.MANIFEST).read_text())
-
-
 def _close(path, got, want):
     assert math.isclose(got, want, rel_tol=FLOAT_RTOL, abs_tol=FLOAT_ATOL), \
         f"{path}: {got!r} differs from the golden {want!r}"
@@ -63,7 +59,7 @@ def _compare_json(where, got, want):
 
 
 def test_golden_outputs_are_reproduced(tmp_path):
-    manifest = _manifest()
+    manifest = json.loads((regen.FOLDER / regen.MANIFEST).read_text())
     names = regen.generate(tmp_path)
     assert names == manifest["files"]
     if regen.environment() == manifest["environment"]:

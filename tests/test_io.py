@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from qquench import (
     BasisGrid,
     NoiseModel,
+    NonFiniteInputError,
     ReconstructionResult,
     ResponseMap,
     SweepResult,
@@ -182,6 +183,16 @@ def test_response_map_csv_rejects_gaps(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("bin,theta,P0,Pr,p\n0,1.0,0.5,0.4,0.2\n2,1.0,0.5,0.4,0.2\n")
     with pytest.raises(ValueError):
+        load_response_map(path)
+
+
+@pytest.mark.parametrize("bin_text", ["99999999999999999999", "1000000000000", "-1"])
+def test_response_map_csv_rejects_a_bin_out_of_range(tmp_path, bin_text):
+    # a bin past the row count is rejected before np.bincount would allocate
+    # one counter per bin index up to it
+    path = tmp_path / "far.csv"
+    path.write_text(f"bin,theta,P0,Pr,p\n0,1.0,0.5,0.4,0.2\n{bin_text},1.0,0.5,0.4,0.2\n")
+    with pytest.raises(ValueError, match="far.csv: .*bin"):
         load_response_map(path)
 
 
@@ -458,6 +469,62 @@ def test_v1_and_v2_files_load_to_equal_arrays_and_csv_bytes_stay(tmp_path_factor
     assert (folder / "v2.csv").read_bytes() == (folder / "v1.csv").read_bytes()
 
 
+ORACLES = {
+    "waveform": support.v2_save_waveform,
+    "response_map": support.v2_save_response_map,
+    "reconstruction": support.v2_save_reconstruction,
+    "sweep_fidelity": support.v2_save_sweep_fidelity,
+    "sweep_map": support.v2_save_sweep_map,
+}
+
+
+def _loaded_before(artifact, obj, fmt) -> dict:
+    """The arrays that loading ``obj``'s file gave before the column table."""
+    if artifact == "waveform":
+        obj = make_state(obj.grid, np.abs(obj.amplitudes)
+                         * np.exp(1j * phase_envelope(obj.amplitudes)))
+    elif artifact == "reconstruction" and fmt == "csv":
+        return {"bin": np.arange(obj.grid.size), "t": obj.grid.times(), "re": obj.raw_re,
+                "im": obj.raw_im, "abs2": obj.amplitude_env**2, "phase": obj.phase_env,
+                "branch_ok": obj.branch_ok}
+    elif artifact == "sweep_fidelity":
+        return {"theta": obj.depths, "seed_count": np.full(obj.depths.size, obj.seed_count),
+                **{name: getattr(obj, name) for name in support.SWEEP_STATS}}
+    elif artifact == "sweep_map":
+        return {"bin": np.arange(obj.grid.size), "theta": obj.depths,
+                "abs_p": obj.response_magnitudes}
+    return _arrays(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=_shape, artifact=st.sampled_from(sorted(ARTIFACTS)),
+       fmt=_formats)
+def test_writers_match_the_byte_oracle_and_its_files_load_as_before(tmp_path_factory, data,
+                                                                     shape, artifact, fmt):
+    draw, save, save_v1, load = ARTIFACTS[artifact]
+    obj = draw(data, *shape)
+    folder = tmp_path_factory.mktemp(artifact)
+    oracle, new = folder / f"oracle.{fmt}", folder / f"new.{fmt}"
+    if fmt == "csv":
+        save_v1(oracle, obj, "csv")
+    else:
+        ORACLES[artifact](oracle, obj)
+    save(new, obj, fmt)
+    assert new.read_bytes() == oracle.read_bytes()
+    kwargs = {}
+    if artifact == "response_map" and fmt == "csv":
+        kwargs = dict(bin_width=obj.grid.bin_width, origin=obj.grid.origin)
+    loaded = load(oracle, **kwargs)
+    got, want = _arrays(loaded), _loaded_before(artifact, obj, fmt)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.asarray(got[name]).dtype == np.asarray(want[name]).dtype, name
+        assert np.array_equal(got[name], want[name]), name
+    if artifact == "response_map":
+        from qquench import __version__
+        assert loaded.meta == ({} if fmt == "csv" else {**obj.meta, "version": __version__})
+
+
 def test_scan_records_meta_and_json_restores_it(tmp_path, pipeline):
     rmap = pipeline[1]
     assert rmap.meta == {"selector": "uniform", "seed": 3, "sigma": 0.002, "trials": 2}
@@ -628,3 +695,71 @@ def test_response_map_v2_names_a_bad_field(tmp_path, pipeline, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"map.json: .*{field!r}"):
         load_response_map(path)
+
+
+# Every float an artifact file holds must be finite, in every format.
+
+V1_FLOATS = {
+    "waveform": ("samples.2.amp", "samples.0.phase", "bin_width"),
+    "response_map": ("records.1.P0", "records.1.entries.0.theta", "records.2.entries.1.Pr",
+                     "records.0.entries.1.p", "depths.0", "origin"),
+    "reconstruction": ("bins.2.re", "bins.0.im", "psi.3.re", "psi.1.im", "bin_width"),
+    "sweep_fidelity": ("depths.0", "fw_mean.1", "fa_std.0"),
+    "sweep_map": ("depths.1", "magnitudes.1.0", "origin"),
+}
+
+
+def _v2_floats(payload) -> list:
+    """The dotted path of the first float in each field of a v2 payload."""
+    paths = []
+    for key, value in payload.items():
+        where = [key]
+        while isinstance(value, list):
+            where.append("0")
+            value = value[0]
+        if isinstance(value, float):
+            paths.append(".".join(where))
+    return paths
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("version", ["csv", "v2", "v1"])
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_every_float_read_from_a_file_must_be_finite(tmp_path, pipeline, artifact, version,
+                                                      value):
+    state, rmap, rec, sweep = pipeline
+    obj = {"waveform": state, "response_map": rmap, "reconstruction": rec}.get(artifact, sweep)
+    _, save, save_v1, load = ARTIFACTS[artifact]
+    path = tmp_path / f"{artifact}.{'csv' if version == 'csv' else 'json'}"
+    (save_v1 if version == "v1" else save)(path, obj, "csv" if version == "csv" else "json")
+    text = path.read_text()
+    if version == "csv":
+        header = text.split("\n", 1)[0].split(",")
+        fields = [name for name in header if name not in ("bin", "branch_ok", "seed_count")]
+    else:
+        fields = V1_FLOATS[artifact] if version == "v1" else _v2_floats(json.loads(text))
+    assert fields
+    for field in fields:
+        if version == "csv":
+            lines = text.split("\n")
+            cells = lines[2].split(",")
+            cells[header.index(field)] = str(value)
+            lines[2] = ",".join(cells)
+            path.write_text("\n".join(lines))
+            name = field
+        else:
+            path.write_text(text)
+            support.edit_json(path, field, value)
+            name = next(key for key in reversed(field.split(".")) if not key.isdigit())
+        with pytest.raises(NonFiniteInputError, match=f"{artifact}.*{name!r}"):
+            load(path)
+
+
+def test_json_writer_refuses_nan(tmp_path, pipeline):
+    rmap = pipeline[1]
+    p = np.array(rmap.p)
+    p[2, 1] = np.nan
+    bad = ResponseMap(grid=rmap.grid, depths=rmap.depths, pr=rmap.pr, p=p, p0=rmap.p0)
+    with pytest.raises(ValueError, match="JSON"):
+        save_response_map(tmp_path / "map.json", bad)
+    assert os.listdir(tmp_path) == []

@@ -18,7 +18,6 @@ from qquench import (
     reconstruct_wavefunction,
     scan,
     uniform_post_selector,
-    wrap_phase,
 )
 from qquench import builtin_waveform
 from qquench.reconstruct import SINGULAR_TOL
@@ -248,15 +247,6 @@ def test_phase_envelope_never_returns_minus_pi():
     psi = np.array([-1.0 + 0.0j, -1.0 - 1e-300j])
     phases = phase_envelope(psi)
     assert phases[0] == np.pi
-
-
-def test_wrap_phase_values():
-    assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
-    assert wrap_phase(-3 * np.pi) == pytest.approx(np.pi)
-    assert wrap_phase(0.25) == pytest.approx(0.25)
-    assert wrap_phase(-np.pi) == pytest.approx(np.pi)
-    arr = wrap_phase(np.array([0.0, 2 * np.pi + 0.1]))
-    assert arr[1] == pytest.approx(0.1)
 
 
 def test_gauge_fix_zero_vector_unchanged():

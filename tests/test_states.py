@@ -13,12 +13,10 @@ from qquench import (
     ZeroVectorError,
     builtin_waveform,
     dft_post_selector,
-    inner_product,
     make_state,
     sample_envelope,
     uniform_post_selector,
 )
-from support import random_state
 
 
 def test_grid_times_and_span():
@@ -81,32 +79,6 @@ def test_state_amplitudes_are_read_only():
     state = make_state(grid, np.ones(4))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
-
-
-def test_inner_product_conjugate_symmetry():
-    rng = np.random.default_rng(11)
-    grid = BasisGrid(size=6)
-    for _ in range(20):
-        x = random_state(grid, rng)
-        y = random_state(grid, rng)
-        assert inner_product(x, y) == pytest.approx(
-            np.conj(inner_product(y, x)), abs=1e-14)
-
-
-def test_inner_product_cauchy_schwarz():
-    rng = np.random.default_rng(12)
-    grid = BasisGrid(size=8)
-    for _ in range(20):
-        x = random_state(grid, rng)
-        y = random_state(grid, rng)
-        assert abs(inner_product(x, y)) <= 1.0 + 1e-12
-
-
-def test_inner_product_rejects_mismatched_grids():
-    x = make_state(BasisGrid(size=4), np.ones(4))
-    y = make_state(BasisGrid(size=5), np.ones(5))
-    with pytest.raises(DimensionMismatchError):
-        inner_product(x, y)
 
 
 def test_uniform_selector_overlaps():
