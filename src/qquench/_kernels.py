@@ -8,27 +8,27 @@ on call order.
 
 from __future__ import annotations
 
-import os
-import threading
+import math
 
 import numpy as np
 
 from . import rng
 
-# Trials are summed in chunks of _TRIAL_CHUNK and each chunk over blocks of
-# about _BLOCK_DRAWS draws (a 3 x 256 KB workspace per worker and chunk), so
-# the working set stays fixed whatever (N, depths, trials) is. Both are
-# constants: a cell sums the same contiguous trial chunk pairwise and adds its
-# chunks in the same order for any block size or worker count, so the output
-# bits never depend on memory or on the number of CPUs.
+# Work runs over blocks of about _BLOCK_DRAWS draws in one reused (3, block)
+# workspace of 768 KB, so the working set stays fixed whatever
+# (N, depths, trials) is. Per-trial reads are summed in chunks of
+# _TRIAL_CHUNK trials. Both are constants: a cell sums the same contiguous
+# trial chunk pairwise and adds its chunks in the same order for any block
+# size, so the output bits never depend on memory.
 _TRIAL_CHUNK = 4096
 _BLOCK_DRAWS = 2**15
 
-# The blocks of a chunk run on up to one thread per CPU this process may use
-# (numpy releases the GIL inside the ufuncs). Read once: a per-call lookup
-# was a measurable share of the one-block calls a small sweep makes.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# A bound on |z| for every draw of rng.normals. Its uniforms are at least
+# u1 >= 2**-54, so the Box-Muller radius sqrt(-2 ln u1) is at most
+# sqrt(108 ln 2) = 8.6522, and the polynomial cos factor exceeds 1 by a few
+# ulp at most. A cell whose noiseless value exceeds Z_MAX noise scales can
+# never clamp at zero.
+Z_MAX = 8.66
 
 
 def true_probabilities(psi, overlaps, thetas):
@@ -47,77 +47,65 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
     """Trial-averaged noisy reads of every (bin, depth) probability.
 
     Read ``t`` of cell ``[n, d]`` adds ``sigma_abs`` times the normal at
-    counter ``t`` of stream ``keys[n, d]`` and clamps at zero.
+    counter ``t`` of stream ``keys[n, d]`` and clamps at zero, and the cell
+    is the mean of its ``trials`` reads. A cell with
+    ``pr_true > Z_MAX * sigma_abs`` never clamps, so that mean is
+    ``pr_true`` plus ``sigma_abs`` times a mean of ``trials`` standard
+    normals, itself normal with variance ``1 / trials``: such a cell draws
+    it as one normal, ``normal(key, 0) * (sigma_abs / sqrt(trials)) + pr_true``.
+    At ``trials = 1`` that is the per-trial read bit for bit. Every other
+    cell sums its reads one by one.
     """
     if sigma_abs == 0.0:
         # zero noise: trial averaging would only add rounding error
         return np.array(pr_true, dtype=np.float64, copy=True)
-    base = pr_true.reshape(-1, 1)
-    key_col = keys.reshape(-1, 1)
+    base = pr_true.reshape(-1)
+    flat_keys = keys.reshape(-1)
+    out = _one_draw_means(base, sigma_abs / math.sqrt(trials), flat_keys)
+    if trials > 1:
+        low = np.flatnonzero(base <= Z_MAX * sigma_abs)
+        if low.size:
+            out[low] = _per_trial_means(base[low], sigma_abs, trials, flat_keys[low])
+    return out.reshape(pr_true.shape)
+
+
+def _one_draw_means(base, scale, keys):
+    """``max(normal(key, 0) * scale + base, 0)`` per cell, in blocks of cells.
+
+    The clamp can fire only under the bound at one trial, where one read is
+    the whole mean. One workspace serves every block: fresh temporaries per
+    block would let the allocator return their pages to the system and fault
+    them in again on the next block.
+    """
+    out = np.empty(base.size)
+    words = rng.counter_words(np.zeros(1, dtype=np.uint64))
+    work = np.empty((3, min(base.size, _BLOCK_DRAWS)), dtype=np.uint64)
+    for a in range(0, base.size, _BLOCK_DRAWS):
+        b = min(a + _BLOCK_DRAWS, base.size)
+        cells = out[a:b]
+        np.multiply(rng.normals_into(keys[a:b], words, work[:, :b - a]), scale, out=cells)
+        cells += base[a:b]
+        np.maximum(cells, 0.0, out=cells)
+    return out
+
+
+def _per_trial_means(base, sigma_abs, trials, keys):
+    """The mean of ``trials`` clamped reads per cell, in blocks of cells per trial chunk."""
+    base, key_col = base[:, None], keys[:, None]
     acc = np.zeros(base.shape[0])
     for start in range(0, trials, _TRIAL_CHUNK):
         ctrs = np.arange(start, min(start + _TRIAL_CHUNK, trials), dtype=np.uint64)
         words = rng.counter_words(ctrs)
         rows = max(1, min(acc.size, _BLOCK_DRAWS // ctrs.size))
-        stripes = min(_WORKERS, -(-acc.size // rows))
-        if stripes == 1:
-            _add_stripe(acc, base, key_col, sigma_abs, words, rows, 0, acc.size)
-        else:
-            _add_stripes(stripes, acc, base, key_col, sigma_abs, words, rows)
-    return (acc / trials).reshape(pr_true.shape)
-
-
-def _add_stripe(acc, base, key_col, sigma_abs, words, rows, lo, hi):
-    """Add one trial chunk of cells ``lo:hi`` to ``acc``, in blocks of ``rows`` cells.
-
-    ``words`` are the chunk's counter words. One workspace serves every
-    block: fresh temporaries per block would let the allocator return their
-    pages to the system and fault them in again on the next block.
-    """
-    work = np.empty((3, min(rows, hi - lo), words.size), dtype=np.uint64)
-    for a in range(lo, hi, rows):
-        b = min(a + rows, hi)
-        draws = rng.normals_into(key_col[a:b], words, work[:, :b - a])
-        draws *= sigma_abs
-        draws += base[a:b]
-        np.maximum(draws, 0.0, out=draws)
-        acc[a:b] += draws.sum(axis=1)
-
-
-def _add_stripe_keeping_error(errors, k, *args):
-    """:func:`_add_stripe`, with its exception kept in ``errors[k]``: a thread drops it."""
-    try:
-        _add_stripe(*args)
-    except BaseException as exc:  # re-raised by the caller of _add_stripes
-        errors[k] = exc
-
-
-def _add_stripes(stripes, acc, base, key_col, sigma_abs, words, rows):
-    """:func:`_add_stripe` over all cells, split into ``stripes`` runs of whole blocks.
-
-    The caller's thread adds stripe 0 and one new thread each of the others;
-    the stripes write disjoint slices of ``acc``. Every thread is joined
-    before the first exception of any stripe is raised, so ``acc`` is never
-    returned partly summed.
-    """
-    blocks = -(-acc.size // rows)
-    cuts = [min(k * blocks // stripes * rows, acc.size) for k in range(stripes + 1)]
-    errors = [None] * stripes
-    started = []
-    try:
-        for k in range(1, stripes):
-            thread = threading.Thread(target=_add_stripe_keeping_error, args=(
-                errors, k, acc, base, key_col, sigma_abs, words, rows, cuts[k], cuts[k + 1]))
-            thread.start()
-            started.append(thread)
-        _add_stripe_keeping_error(errors, 0, acc, base, key_col, sigma_abs, words, rows,
-                                  cuts[0], cuts[1])
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        work = np.empty((3, rows, words.size), dtype=np.uint64)
+        for a in range(0, acc.size, rows):
+            b = min(a + rows, acc.size)
+            draws = rng.normals_into(key_col[a:b], words, work[:, :b - a])
+            draws *= sigma_abs
+            draws += base[a:b]
+            np.maximum(draws, 0.0, out=draws)
+            acc[a:b] += draws.sum(axis=1)
+    return acc / trials
 
 
 def noisy_mean_scalar(value, sigma_abs, trials, key):

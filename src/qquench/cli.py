@@ -215,6 +215,16 @@ def _apply_config(args: argparse.Namespace) -> None:
             ns[dest] = value
 
 
+def _check_finite(args: argparse.Namespace) -> None:
+    """A NaN or infinite number option is non-finite input (exit 5), not a bad value."""
+    for dest in ("sigma", "bin_width", "origin", "theta"):
+        values = getattr(args, dest, None)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and not math.isfinite(value):
+                raise NonFiniteInputError(
+                    f"--{dest.replace('_', '-')} must be finite, got {value!r}")
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return int(flag_value)
@@ -346,6 +356,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         _apply_config(args)
+        _check_finite(args)
         return _COMMANDS[args.command](args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

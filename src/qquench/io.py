@@ -283,16 +283,32 @@ def _records(path, payload: dict, name: str) -> list:
     return records
 
 
+# The JSON value type of an integer or boolean field, and its name. Such a
+# field is never coerced: 3.7 is no integer and "false" or 0.5 no boolean.
+_JSON_TYPES = {int: "an integer", bool: "a boolean"}
+
+
+def _exact(path, name: str, values, kind):
+    """``values`` (one JSON value or a list of them) if each has type ``kind``."""
+    for value in values if isinstance(values, list) else [values]:
+        if type(value) is not kind:
+            if isinstance(value, float):  # NaN or Infinity is non-finite input
+                _finite(path, name, value)
+            raise ValueError(f"{path}: field {name!r} must hold {_JSON_TYPES[kind]} "
+                             f"per entry, got {value!r}")
+    return values
+
+
 def _number(path, payload: dict, name: str, kind=float):
-    """``payload[name]`` as a ``kind``; a float must be finite."""
+    """``payload[name]`` as a ``kind``; a float must be finite, an int a JSON integer."""
     value = _field(path, payload, name)
+    if kind is not float:
+        return _exact(path, name, value, kind)
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        if isinstance(value, float):  # int() of NaN or Infinity
-            _finite(path, name, value)
         raise ValueError(f"{path}: field {name!r} must be a number, got {value!r}") from None
-    return _finite(path, name, number) if kind is float else number
+    return _finite(path, name, number)
 
 
 def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
@@ -302,8 +318,11 @@ def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
     count seen so far, raises ``ValueError``; an axis seen first is
     recorded in ``sizes``.
     """
+    values = _field(path, payload, col.key)
+    if col.kind is not float:
+        _exact(path, col.key, values, col.kind)
     try:
-        values = np.array(_field(path, payload, col.key), dtype=col.kind)
+        values = np.array(values, dtype=col.kind)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: column {col.key!r} is not an array of numbers ({exc})") from None
     if values.ndim != len(col.axis) or any(sizes.setdefault(axis, got) != got
@@ -440,7 +459,7 @@ def _v1_reconstruction(path, payload: dict) -> dict:
     if len(psi) != len(bins):
         raise ValueError(f"{path}: psi has {len(psi)} entries for {len(bins)} bins")
     cols = {name: np.array([_number(path, b, name) for b in bins]) for name in ("re", "im")}
-    cols["branch_ok"] = np.array([bool(_field(path, b, "branch_ok")) for b in bins])
+    cols["branch_ok"] = np.array([_number(path, b, "branch_ok", bool) for b in bins])
     cols.update((f"psi_{part}", np.array([_number(path, z, part) for z in psi]))
                 for part in ("re", "im"))
     return cols

@@ -157,10 +157,8 @@ def scan(
     The baseline P0 is measured once per scan (it does not depend on the
     quench position), then each (bin, depth) probability is measured and
     converted to p = 1 - Pr/P0. Noise draws are counter-indexed by
-    (seed, bin, depth, trial), so the scan is reproducible: the noisy reads
-    run in blocks of cells on up to one thread per usable CPU, and no output
-    bit depends on the thread count. This is :func:`measure_seeds` for the
-    one seed ``noise.seed``.
+    (seed, bin, depth, trial), so the scan is reproducible. This is
+    :func:`measure_seeds` for the one seed ``noise.seed``.
     """
     depths = tuple(float(t) for t in depths)
     p0, pr, p = measure_seeds(state, selector, depths, noise, [noise.seed])

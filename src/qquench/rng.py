@@ -3,8 +3,8 @@
 All measurement noise in this package flows through one small generator: a
 SplitMix64-style bit mixer evaluated at explicit (key, counter) positions.
 A draw depends only on (seed, bin, depth, trial), never on call order, which
-makes scans reproducible and lets the trial-averaging kernel draw the cell
-blocks of a scan on several threads at once with the same output bits.
+makes scans reproducible and lets the trial-averaging kernel draw any subset
+of cells, in blocks of any size, with the same output bits.
 
 Key blocks (``derive_keys``, ``key_matrix``, for one seed or an array of
 them) and all draws (``normals``, or ``normals_into`` a reused workspace)

@@ -265,6 +265,31 @@ def reference_normals(key, counters):
     return (np.sqrt(-2.0 * np.log(u1)) * x) * poly
 
 
+# The noise model read by read: the per-trial path of the kernel. Cells above
+# the bound take one draw instead (noisy_mean_matrix).
+
+def per_trial_means(pr, sigma, trials, keys):
+    """Mean of ``trials`` reads max(pr + sigma * z_t, 0) of every (N, D) cell,
+    z_t the normal at counter t of the cell's key: whole (N, D, chunk) arrays
+    with the allocating reference normals, added chunk by chunk as the kernel
+    adds them."""
+    acc = np.zeros(pr.shape)
+    for start in range(0, trials, _kernels._TRIAL_CHUNK):
+        ctrs = np.arange(start, min(start + _kernels._TRIAL_CHUNK, trials), dtype=np.uint64)
+        draws = pr[:, :, None] + sigma * reference_normals(keys[:, :, None], ctrs)
+        np.maximum(draws, 0.0, out=draws)
+        acc += draws.sum(axis=2)
+    return acc / trials
+
+
+def pure_python_mean(pr, sigma, trials, key):
+    """One cell of the kernel in pure Python: above the bound one normal
+    scaled by sigma / sqrt(trials), else the mean of the clamped reads."""
+    if pr > _kernels.Z_MAX * sigma:
+        return rng.normal(key, 0) * (sigma / math.sqrt(trials)) + pr
+    return sum(max(pr + sigma * rng.normal(key, t), 0.0) for t in range(trials)) / trials
+
+
 def libm_reference_normals(key, counters):
     """:func:`reference_normals` as it stood before the reduced polynomial:
     the cos factor is numpy's cos of the rounded product 2*pi*u2."""

@@ -153,6 +153,26 @@ def test_scan_bad_selector(tmp_path):
                "--out", str(tmp_path / "m.csv")) == 12
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["scan", "--waveform", "gaussian_flat_phase", "--sigma", "nan"], "--sigma"),
+    (["scan", "--waveform", "gaussian_flat_phase", "--sigma", "inf"], "--sigma"),
+    (["scan", "--waveform", "gaussian_flat_phase", "--theta", "nan"], "--theta"),
+    (["prepare", "--waveform", "gaussian_flat_phase", "--bin-width", "inf"], "--bin-width"),
+    (["prepare", "--waveform", "gaussian_flat_phase", "--origin=-inf"], "--origin"),
+], ids=["sigma-nan", "sigma-inf", "theta-nan", "bin-width-inf", "origin-inf"])
+def test_non_finite_flag_exits_5_and_names_it(tmp_path, capsys, argv, flag):
+    assert run(*argv, "--out", str(tmp_path / "out.json")) == 5
+    err = capsys.readouterr().err
+    value = argv[-1].split("=")[-1]
+    assert f"{flag} must be finite, got {value}" in err, err
+
+
+def test_negative_sigma_stays_a_configuration_error(tmp_path, capsys):
+    assert run("scan", "--waveform", "gaussian_flat_phase", "--sigma", "-0.1",
+               "--out", str(tmp_path / "m.json")) == 12
+    assert "relative_sigma must be >= 0" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     wave = uniform_wave(tmp_path)
     flagged = tmp_path / "flag.csv"

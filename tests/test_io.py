@@ -604,6 +604,31 @@ def test_v1_json_names_a_missing_or_null_field(tmp_path, pipeline, artifact, fie
         load(path)
 
 
+@pytest.mark.parametrize("artifact,version,field,value", [
+    ("reconstruction", "v2", "branch_ok.0", "false"),
+    ("reconstruction", "v2", "branch_ok.1", 0.5),
+    ("reconstruction", "v2", "branch_ok.2", 1),
+    ("reconstruction", "v1", "bins.3.branch_ok", "false"),
+    ("sweep_fidelity", "v2", "seed_count", 3.7),
+    ("sweep_fidelity", "v2", "seed_count", 3.0),
+    ("sweep_fidelity", "v2", "seed_count", True),
+    ("response_map", "v1", "records.4.bin", 3.7),
+], ids=["branch_ok-string", "branch_ok-float", "branch_ok-int", "v1-branch_ok-string",
+        "seed_count-fraction", "seed_count-float", "seed_count-bool", "v1-bin-fraction"])
+def test_json_bool_and_int_fields_are_not_coerced(tmp_path, pipeline, artifact, version,
+                                                  field, value):
+    # np.array(..., dtype=bool) reads "false" and 0.5 as True, int() truncates 3.7
+    state, rmap, rec, sweep = pipeline
+    obj = {"response_map": rmap, "reconstruction": rec}.get(artifact, sweep)
+    _, save, save_v1, load = ARTIFACTS[artifact]
+    path = tmp_path / f"{artifact}.json"
+    (save_v1 if version == "v1" else save)(path, obj, "json")
+    support.edit_json(path, field, value)
+    name = next(key for key in reversed(field.split(".")) if not key.isdigit())
+    with pytest.raises(ValueError, match=f"field {name!r} must hold an? (integer|boolean)"):
+        load(path)
+
+
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline, version):
     path = tmp_path / "fid.json"
