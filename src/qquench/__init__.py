@@ -6,6 +6,8 @@ back into the full complex amplitude envelope. Includes a seeded Gaussian
 noise model, fidelity scoring, depth sweeps, CSV/JSON plumbing, and a CLI.
 """
 
+import types as _types
+
 from .errors import (
     DegenerateBaselineError,
     DimensionMismatchError,
@@ -62,50 +64,6 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisGrid",
-    "DEFAULT_BINS",
-    "DEFAULT_BIN_WIDTH",
-    "DegenerateBaselineError",
-    "DimensionMismatchError",
-    "FidelityScores",
-    "IncompleteDepthsError",
-    "IndexOutOfRangeError",
-    "NoiseModel",
-    "NonFiniteInputError",
-    "PostSelector",
-    "QuenchError",
-    "ReconstructionResult",
-    "ResponseMap",
-    "SingularDepthError",
-    "SweepResult",
-    "UnknownWaveformError",
-    "WAVEFORM_NAMES",
-    "WavefunctionState",
-    "ZeroVectorError",
-    "amplitude_nodes",
-    "builtin_waveform",
-    "depth_sweep",
-    "dft_post_selector",
-    "fidelity_overall",
-    "gauge_fix",
-    "invert_general",
-    "invert_pm_halfpi",
-    "load_reconstruction",
-    "load_response_map",
-    "load_sweep_fidelity",
-    "load_sweep_map",
-    "load_waveform",
-    "make_state",
-    "phase_envelope",
-    "reconstruct_wavefunction",
-    "sample_envelope",
-    "save_reconstruction",
-    "save_response_map",
-    "save_sweep_fidelity",
-    "save_sweep_map",
-    "save_waveform",
-    "scan",
-    "score_reconstruction",
-    "uniform_post_selector",
-]
+# every public name imported above; the submodules are no part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _types.ModuleType)))

@@ -14,21 +14,22 @@ import numpy as np
 
 from . import rng
 
-# Work runs over blocks of about _BLOCK_DRAWS draws in one reused (3, block)
-# workspace of 768 KB, so the working set stays fixed whatever
-# (N, depths, trials) is. Per-trial reads are summed in chunks of
-# _TRIAL_CHUNK trials. Both are constants: a cell sums the same contiguous
-# trial chunk pairwise and adds its chunks in the same order for any block
-# size, so the output bits never depend on memory.
+# Draws run in blocks of at most _BLOCK_DRAWS in one reused 768 KB
+# workspace, so the working set is fixed whatever (N, depths, trials) is.
+# Per-trial reads are summed in chunks of _TRIAL_CHUNK: a cell sums the same
+# chunks pairwise in the same order for any block size, so no bit depends on it.
 _TRIAL_CHUNK = 4096
 _BLOCK_DRAWS = 2**15
 
-# A bound on |z| for every draw of rng.normals. Its uniforms are at least
-# u1 >= 2**-54, so the Box-Muller radius sqrt(-2 ln u1) is at most
-# sqrt(108 ln 2) = 8.6522, and the polynomial cos factor exceeds 1 by a few
-# ulp at most. A cell whose noiseless value exceeds Z_MAX noise scales can
-# never clamp at zero.
+# A bound on |z| for every draw of rng.normals: u1 >= 2**-54, so the
+# Box-Muller radius sqrt(-2 ln u1) is at most sqrt(108 ln 2) = 8.6522, and
+# the polynomial cos factor exceeds 1 by a few ulp at most. A cell whose
+# noiseless value exceeds Z_MAX noise scales can never clamp at zero.
 Z_MAX = 8.66
+
+# counter word of trial 0, a one-draw cell's draw; built once, as it costs
+# about a tenth of a small sweep's whole kernel call
+_TRIAL0_WORD = rng.counter_words(np.zeros(1, dtype=np.uint64))
 
 
 def true_probabilities(psi, overlaps, thetas):
@@ -47,14 +48,12 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
     """Trial-averaged noisy reads of every (bin, depth) probability.
 
     Read ``t`` of cell ``[n, d]`` adds ``sigma_abs`` times the normal at
-    counter ``t`` of stream ``keys[n, d]`` and clamps at zero, and the cell
-    is the mean of its ``trials`` reads. A cell with
-    ``pr_true > Z_MAX * sigma_abs`` never clamps, so that mean is
-    ``pr_true`` plus ``sigma_abs`` times a mean of ``trials`` standard
-    normals, itself normal with variance ``1 / trials``: such a cell draws
-    it as one normal, ``normal(key, 0) * (sigma_abs / sqrt(trials)) + pr_true``.
-    At ``trials = 1`` that is the per-trial read bit for bit. Every other
-    cell sums its reads one by one.
+    counter ``t`` of stream ``keys[n, d]`` and clamps at zero; a cell is the
+    mean of its ``trials`` reads. A cell with ``pr_true > Z_MAX * sigma_abs``
+    never clamps, so its mean is ``pr_true`` plus a normal of std
+    ``sigma_abs / sqrt(trials)``, drawn as one normal:
+    ``normal(key, 0) * (sigma_abs / sqrt(trials)) + pr_true``, which at one
+    trial is the per-trial read bit for bit. Every other cell sums its reads.
     """
     if sigma_abs == 0.0:
         # zero noise: trial averaging would only add rounding error
@@ -72,18 +71,17 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
 def _one_draw_means(base, scale, keys):
     """``max(normal(key, 0) * scale + base, 0)`` per cell, in blocks of cells.
 
-    The clamp can fire only under the bound at one trial, where one read is
-    the whole mean. One workspace serves every block: fresh temporaries per
-    block would let the allocator return their pages to the system and fault
-    them in again on the next block.
+    The clamp fires only under the bound at one trial, where one read is the
+    whole mean. One workspace serves every block: fresh temporaries would
+    let the allocator return their pages and fault them in again per block.
     """
     out = np.empty(base.size)
-    words = rng.counter_words(np.zeros(1, dtype=np.uint64))
     work = np.empty((3, min(base.size, _BLOCK_DRAWS)), dtype=np.uint64)
     for a in range(0, base.size, _BLOCK_DRAWS):
         b = min(a + _BLOCK_DRAWS, base.size)
         cells = out[a:b]
-        np.multiply(rng.normals_into(keys[a:b], words, work[:, :b - a]), scale, out=cells)
+        np.multiply(rng.normals_into(keys[a:b], _TRIAL0_WORD, work[:, :b - a]), scale,
+                    out=cells)
         cells += base[a:b]
         np.maximum(cells, 0.0, out=cells)
     return out

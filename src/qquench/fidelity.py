@@ -202,7 +202,7 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
         else:
             seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(n_seeds))
         pair = (theta, -theta)
-        _, _, p = measure_seeds(state, selector, pair, noise, seeds)
+        _, _, p, _ = measure_seeds(state, selector, pair, noise, seeds)
         re, im, ok = invert_pair(pair, p)
         scores = score_reconstruction(
             reconstruct_inverted(state.grid, re, im, ok, overlaps), state, noise)

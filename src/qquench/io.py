@@ -283,19 +283,15 @@ def _records(path, payload: dict, name: str) -> list:
     return records
 
 
-# The JSON value type of an integer or boolean field, and its name. Such a
-# field is never coerced: 3.7 is no integer and "false" or 0.5 no boolean.
-_JSON_TYPES = {int: "an integer", bool: "a boolean"}
-
-
 def _exact(path, name: str, values, kind):
-    """``values`` (one JSON value or a list of them) if each has type ``kind``."""
+    """``values`` (one JSON value or a list of them) if each is a JSON ``kind``
+    (int or bool): 3.7 is no integer, and "false" or 0.5 no boolean."""
     for value in values if isinstance(values, list) else [values]:
         if type(value) is not kind:
             if isinstance(value, float):  # NaN or Infinity is non-finite input
                 _finite(path, name, value)
-            raise ValueError(f"{path}: field {name!r} must hold {_JSON_TYPES[kind]} "
-                             f"per entry, got {value!r}")
+            raise ValueError(f"{path}: field {name!r} must hold JSON {kind.__name__}s, "
+                             f"got {value!r}")
     return values
 
 

@@ -61,10 +61,11 @@ class ResponseMap:
 
     ``pr[n, d]`` is the measured probability after quenching bin ``n`` by
     ``depths[d]``, ``p[n, d] = 1 - pr[n, d] / p0`` its response factor, and
-    ``p0`` the measured baseline that every bin shares. ``meta`` records how
-    the map was made: :func:`scan` fills in the selector label, seed, sigma
-    and trials, and a map loaded from JSON also holds the package version
-    that wrote it. It is empty by default.
+    ``p0`` the baseline that every bin shares. ``meta`` records how the map
+    was made: :func:`scan` fills in the selector label, seed, sigma and
+    trials, and for a noisy map ``p0_direct``, the direct baseline read;
+    a map loaded from JSON also holds the package version that wrote it.
+    It is empty by default.
     """
 
     grid: BasisGrid
@@ -99,21 +100,40 @@ class ResponseMap:
         return self.pr.copy()
 
 
+def _sum_rule_baseline(pr, thetas):
+    """Each row's baseline from the sum rule of a flat selector (README,
+    "Baseline from the sum rule"), or None where one direct read is the
+    better estimate: P0 = (sum of all reads - sum_d h_d / N) / sum_d (N - h_d)
+    with h = 2 (1 - cos theta), for ``pr`` of shape (S, N, D)."""
+    n = pr.shape[-2]
+    order = sorted(range(len(thetas)), key=thetas.__getitem__)
+    h = [2.0 * (1.0 - math.cos(thetas[d])) for d in order]
+    weight = sum(n - h_d for h_d in h)
+    if weight <= math.sqrt(n * len(h)):
+        return None
+    # depth sums added in order of the depth values: reordering changes no bit
+    total = sum(pr[..., d].sum(axis=-1) for d in order)
+    return (total - sum(h) / n) / weight
+
+
 def measure_seeds(state: WavefunctionState, selector: PostSelector, depths,
                   noise: NoiseModel, seeds):
     """One scan per entry of ``seeds``, measured as one block.
 
-    Returns the measured baselines ``p0`` (S,), probabilities ``pr`` and
-    response factors ``p`` (S, n_bins, n_depths). Row ``s`` holds the bits a
-    scan with ``noise.seed = seeds[s]`` measures, because a draw depends only
-    on (seed, bin, depth, trial), never on evaluation order.
+    Returns the baselines ``p0`` (S,), probabilities ``pr`` and response
+    factors ``p`` (S, n_bins, n_depths), and the direct baseline reads
+    (S,). Row ``s`` holds the bits a scan with ``noise.seed = seeds[s]``
+    measures, because a draw depends only on (seed, bin, depth, trial),
+    never on evaluation order. A noisy ``p0`` comes from the sum rule where
+    :func:`_sum_rule_baseline` gives one, else from the direct read.
     """
     if state.grid != selector.grid:
         raise DimensionMismatchError(f"grids differ: {state.grid} vs {selector.grid}")
     thetas = np.asarray(depths, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("need at least one quench depth")
-    for theta in thetas.tolist():
+    theta_list = thetas.tolist()
+    for theta in theta_list:
         if not math.isfinite(theta):
             raise ValueError(f"quench depth must be finite, got {theta}")
         if theta == 0.0:
@@ -128,22 +148,24 @@ def measure_seeds(state: WavefunctionState, selector: PostSelector, depths,
             f"P0={p0_true:.3e} at or below floor {BASELINE_FLOOR:.0e}"
         )
 
-    p0 = np.full(len(seeds), p0_true)
+    p0 = p0_read = np.full(len(seeds), p0_true)
     pr = np.broadcast_to(pr_true, p0.shape + pr_true.shape)
     if not noise.noiseless:
         sigma_abs = noise.relative_sigma * p0_true
         # stream_key(seed, BASELINE_BIN, 0.0) of every seed
         baseline_keys = rng.derive_keys(seeds, rng.BASELINE_BIN + 1, rng.float_tag(0.0))
-        p0 = _kernels.noisy_mean_matrix(p0, sigma_abs, noise.trials, baseline_keys)
+        p0 = p0_read = _kernels.noisy_mean_matrix(p0, sigma_abs, noise.trials, baseline_keys)
         keys = rng.key_matrix(seeds, state.grid.size, thetas)
         pr = _kernels.noisy_mean_matrix(pr, sigma_abs, noise.trials, keys)
+        estimate = _sum_rule_baseline(pr, theta_list) if selector.flat else None
+        p0 = p0_read if estimate is None else estimate
 
     if np.any(p0 <= BASELINE_FLOOR):
         raise DegenerateBaselineError(
             f"measured baseline P0={p0.min():.3e} at or below floor {BASELINE_FLOOR:.0e} "
             f"(selector {selector.label!r})"
         )
-    return p0, pr, 1.0 - pr / p0[:, None, None]
+    return p0, pr, 1.0 - pr / p0[:, None, None], p0_read
 
 
 def scan(
@@ -154,14 +176,16 @@ def scan(
 ) -> ResponseMap:
     """Measure the response factor for every bin at every depth.
 
-    The baseline P0 is measured once per scan (it does not depend on the
-    quench position), then each (bin, depth) probability is measured and
-    converted to p = 1 - Pr/P0. Noise draws are counter-indexed by
+    Each (bin, depth) probability is measured and converted to
+    p = 1 - Pr/P0 over one baseline P0 (see :func:`measure_seeds`); a noisy
+    map keeps the direct baseline read in ``meta["p0_direct"]``. Noise draws are counter-indexed by
     (seed, bin, depth, trial), so the scan is reproducible. This is
     :func:`measure_seeds` for the one seed ``noise.seed``.
     """
     depths = tuple(float(t) for t in depths)
-    p0, pr, p = measure_seeds(state, selector, depths, noise, [noise.seed])
+    p0, pr, p, p0_read = measure_seeds(state, selector, depths, noise, [noise.seed])
     meta = {"selector": selector.label, "seed": noise.seed,
             "sigma": float(noise.relative_sigma), "trials": int(noise.trials)}
+    if not noise.noiseless:
+        meta["p0_direct"] = float(p0_read[0])
     return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p=p[0], p0=p0[0], meta=meta)

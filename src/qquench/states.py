@@ -8,7 +8,7 @@ construction, normalization and the post-selection states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,21 +96,26 @@ class PostSelector:
     ``overlaps[u]`` is the bra-side overlap of the selector with basis
     element ``u``; the attached label records how it was built (``uniform``
     or ``dft:k``). Every overlap must be nonzero, otherwise the protocol
-    cannot see the corresponding bin at all.
+    cannot see the corresponding bin at all. ``flat``: every |overlap|^2 is
+    1/N to rounding (``uniform``, ``dft:k``), so the sum rule gives P0.
     """
 
     grid: BasisGrid
     overlaps: np.ndarray
     label: str = "uniform"
+    flat: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_complex_vector(self.overlaps, self.grid.size)
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        mod_sq = np.abs(arr) ** 2
+        norm_sq = float(np.sum(mod_sq))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"selector norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
         if np.any(np.abs(arr) == 0.0):
             raise ValueError("post-selection state must overlap every basis element")
         object.__setattr__(self, "overlaps", _freeze(arr))
+        object.__setattr__(self, "flat", bool(np.all(np.abs(mod_sq * self.grid.size - 1.0)
+                                                     <= NORM_TOL)))
 
     @property
     def amplitudes(self) -> np.ndarray:

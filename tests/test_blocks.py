@@ -177,7 +177,7 @@ def test_block_matches_per_scan_reference(waveform, selector):
         noise = NoiseModel(relative_sigma=sigma, seed=11, trials=trials)
         for theta in (np.pi / 8, 3 * np.pi / 8, np.pi / 2, 2.5):
             seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(8))
-            _, _, p = measure_seeds(state, sel, (theta, -theta), noise, seeds)
+            _, _, p, _ = measure_seeds(state, sel, (theta, -theta), noise, seeds)
             re, im, ok = invert_pair((theta, -theta), p)
             for s in range(len(seeds)):
                 row = reconstruct_inverted(grid, re[s], im[s], ok[s], overlaps)

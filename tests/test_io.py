@@ -527,7 +527,11 @@ def test_writers_match_the_byte_oracle_and_its_files_load_as_before(tmp_path_fac
 
 def test_scan_records_meta_and_json_restores_it(tmp_path, pipeline):
     rmap = pipeline[1]
-    assert rmap.meta == {"selector": "uniform", "seed": 3, "sigma": 0.002, "trials": 2}
+    # a noisy map also records its direct baseline read next to the p0 it uses
+    direct = rmap.meta["p0_direct"]
+    assert isinstance(direct, float) and direct != rmap.p0
+    assert rmap.meta == {"selector": "uniform", "seed": 3, "sigma": 0.002, "trials": 2,
+                         "p0_direct": direct}
     save_response_map(tmp_path / "map.json", rmap)
     save_response_map(tmp_path / "map.csv", rmap)
     from qquench import __version__
@@ -625,7 +629,7 @@ def test_json_bool_and_int_fields_are_not_coerced(tmp_path, pipeline, artifact, 
     (save_v1 if version == "v1" else save)(path, obj, "json")
     support.edit_json(path, field, value)
     name = next(key for key in reversed(field.split(".")) if not key.isdigit())
-    with pytest.raises(ValueError, match=f"field {name!r} must hold an? (integer|boolean)"):
+    with pytest.raises(ValueError, match=f"field {name!r} must hold JSON (int|bool)s"):
         load(path)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qquench import (
@@ -8,13 +8,17 @@ from qquench import (
     DegenerateBaselineError,
     IndexOutOfRangeError,
     NoiseModel,
+    PostSelector,
     ResponseMap,
     builtin_waveform,
     dft_post_selector,
     make_state,
+    reconstruct_wavefunction,
     scan,
     uniform_post_selector,
 )
+from qquench import _kernels
+from qquench.quench import _sum_rule_baseline, measure_seeds
 from support import (
     QuenchConfig,
     apply_quench,
@@ -272,9 +276,10 @@ def test_noisy_baseline_spread_matches_relative_sigma():
     state = random_state(grid, rng)
     sel = uniform_post_selector(grid)
     quiet = scan(state, sel, (np.pi / 2,), QUIET)
+    # the direct read; the map's p0 is the sum-rule estimate here
     baselines = [
         scan(state, sel, (np.pi / 2,),
-             NoiseModel(relative_sigma=0.002, seed=s, trials=1)).baseline_p0
+             NoiseModel(relative_sigma=0.002, seed=s, trials=1)).meta["p0_direct"]
         for s in range(400)
     ]
     assert np.std(baselines) == pytest.approx(
@@ -323,3 +328,108 @@ def test_noisy_scan_columns_follow_their_depths(a, b, n, seed, trials):
     assert ab.baseline_p0 == ba.baseline_p0
     assert np.array_equal(ab.measured_matrix(), ba.measured_matrix()[:, ::-1])
     assert np.array_equal(ab.response_matrix(), ba.response_matrix()[:, ::-1])
+
+
+# The baseline from the sum rule: for a flat selector the quenched reads fix
+# P0 as (sum of all reads - sum_d h_d / N) / sum_d (N - h_d).
+
+def _flat_selector(grid, kind, phases):
+    if kind == "uniform":
+        return uniform_post_selector(grid)
+    if kind == "dft":
+        return dft_post_selector(grid, int(phases[0] * 1e6) % grid.size)
+    n = grid.size
+    return PostSelector(grid, np.exp(2j * np.pi * np.asarray(phases[:n])) / np.sqrt(n),
+                        label="random-phase")
+
+
+def test_flat_selectors_are_recognised():
+    grid = BasisGrid(size=7)
+    assert uniform_post_selector(grid).flat
+    assert all(dft_post_selector(grid, k).flat for k in range(7))
+    assert PostSelector(grid, np.exp(1j * np.arange(7.0)) / np.sqrt(7)).flat
+    uneven = np.linspace(1.0, 2.0, 7)
+    assert not PostSelector(grid, uneven / np.linalg.norm(uneven)).flat
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "dft", "random-phase"]),
+       phases=st.lists(st.floats(0.0, 1.0), min_size=40, max_size=40),
+       depths=st.lists(_depth, min_size=1, max_size=4))
+def test_sum_rule_baseline_is_exact_without_noise(n, seed, kind, phases, depths):
+    grid = BasisGrid(size=n)
+    state = random_state(grid, np.random.default_rng(seed))
+    sel = _flat_selector(grid, kind, phases)
+    assert sel.flat
+    p0, pr = _kernels.true_probabilities(state.amplitudes, sel.overlaps, np.array(depths))
+    # a small P0 is the difference of sums of order 1/N: rounding, not the rule
+    assume(n * p0 >= 1e-2)
+    estimate = _sum_rule_baseline(pr[None], depths)
+    assume(estimate is not None)
+    assert abs(estimate[0] - p0) <= 1e-12 * p0
+
+
+@pytest.mark.parametrize("selector", ["uniform", "dft:3"])
+def test_sum_rule_baseline_is_ten_times_tighter_at_200_bins(selector):
+    grid = BasisGrid(size=200)
+    state = builtin_waveform("gaussian_linear_chirp", grid)
+    sel = uniform_post_selector(grid) if selector == "uniform" else dft_post_selector(grid, 3)
+    noise = NoiseModel(relative_sigma=0.002, seed=11, trials=1)
+    p0, _, _, p0_read = measure_seeds(state, sel, (np.pi / 2, -np.pi / 2), noise,
+                                      np.arange(256))
+    assert np.std(p0) <= np.std(p0_read) / 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_rule_baseline_keeps_its_bits_when_depths_are_reordered(seed):
+    grid = BasisGrid(size=9)
+    state = builtin_waveform("square_step_phase", grid)
+    noise = NoiseModel(relative_sigma=0.01, seed=seed, trials=3)
+    depths = np.random.default_rng(seed).uniform(0.1, 3.0, 7) * np.array([1, -1] * 3 + [1])
+    orders = [depths] + [np.random.default_rng([seed, k]).permutation(depths) for k in range(6)]
+    maps = [scan(state, dft_post_selector(grid, 2), order, noise) for order in orders]
+    assert maps[0].p0 != maps[0].meta["p0_direct"]
+    assert len({m.p0 for m in maps}) == 1
+
+
+def test_direct_read_stays_where_the_sum_rule_is_noisier():
+    state = builtin_waveform("gaussian_linear_chirp", BasisGrid(size=12))
+    noise = NoiseModel(relative_sigma=0.01, seed=2, trials=1)
+    uneven = np.linspace(1.0, 2.0, 12)
+    not_flat = PostSelector(state.grid, uneven / np.linalg.norm(uneven))
+    rmap = scan(state, not_flat, (np.pi / 2, -np.pi / 2), noise)
+    assert rmap.p0 == rmap.meta["p0_direct"]
+    # N = 3 at theta = pi: sum_d (N - h_d) = -1, not above sqrt(N D)
+    small = make_state(BasisGrid(size=3), [1.0, 0.5, 0.2])
+    rmap = scan(small, uniform_post_selector(small.grid), (np.pi,), noise)
+    assert rmap.p0 == rmap.meta["p0_direct"]
+    # a noiseless map uses the true P0 and records no read
+    quiet = scan(state, uniform_post_selector(state.grid), (np.pi / 2, -np.pi / 2), QUIET)
+    p0, _ = oracle_probabilities(state.amplitudes, uniform_post_selector(state.grid).overlaps,
+                                 (np.pi / 2,))
+    assert quiet.p0 == pytest.approx(p0, rel=1e-14) and "p0_direct" not in quiet.meta
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_fold_is_still_flagged_under_the_sum_rule_baseline(seed):
+    # bin 5 carries Re w = 40/59 = 0.68 > 1/2, every other w is 1/59: the
+    # folded inversion leaves sum(raw)/4 at 0.64, outside the 0.25 tolerance
+    grid = BasisGrid(size=20)
+    amps = np.ones(20)
+    amps[5] = 40.0
+    state = make_state(grid, amps)
+    noise = NoiseModel(relative_sigma=0.002, seed=seed, trials=1)
+    rmap = scan(state, uniform_post_selector(grid), (np.pi / 2, -np.pi / 2), noise)
+    assert rmap.p0 != rmap.meta["p0_direct"]
+    rec = reconstruct_wavefunction(rmap)
+    assert not rec.branch_ok[5]
+
+
+def test_package_exports_its_public_names_and_no_module():
+    import types
+
+    import qquench
+    assert len(qquench.__all__) == 45 and "scan" in qquench.__all__
+    assert not any(isinstance(getattr(qquench, name), types.ModuleType)
+                   for name in qquench.__all__)
