@@ -44,7 +44,6 @@ from .reconstruct import (
     amplitude_nodes,
     gauge_fix,
     invert_general,
-    invert_pm_halfpi,
     phase_envelope,
     reconstruct_wavefunction,
 )

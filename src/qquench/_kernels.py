@@ -105,11 +105,3 @@ def _per_trial_means(base, sigma_abs, trials, keys):
             acc[a:b] += draws.sum(axis=1)
     return acc / trials
 
-
-def noisy_mean_scalar(value, sigma_abs, trials, key):
-    """:func:`noisy_mean_matrix` of one probability on one stream key."""
-    if sigma_abs == 0.0:
-        return float(value)
-    cell = np.array([[value]], dtype=np.float64)
-    keys = np.array([[key]], dtype=np.uint64)
-    return float(noisy_mean_matrix(cell, sigma_abs, trials, keys)[0, 0])

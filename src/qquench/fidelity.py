@@ -21,6 +21,7 @@ from . import rng
 from .quench import NoiseModel, measure_seeds, scan
 from .reconstruct import (
     NODE_TOL,
+    _one_minus_cos,
     _rotate_to_real,
     _sum_squares,
     invert_pair,
@@ -177,10 +178,8 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     depth_arr = np.asarray(depths, dtype=np.float64)
     if depth_arr.ndim != 1 or depth_arr.size == 0:
         raise ValueError("depths must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(depth_arr)):
-        raise ValueError("depths must be finite")
-    if np.any(depth_arr <= 0) or np.any(1.0 - np.cos(depth_arr) < 1e-9):
-        raise ValueError("each depth must be positive and away from 0 mod 2pi")
+    for theta in depth_arr.tolist():
+        _one_minus_cos(theta)  # the inversion's depth check, before any measuring
     if isinstance(n_seeds, bool) or not isinstance(n_seeds, numbers.Integral):
         raise ValueError(f"n_seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:

@@ -96,9 +96,6 @@ _SWEEP_FIDELITY = _Artifact("sweep_fidelity", ("theta", "seed_count", *_STATS), 
 _SWEEP_MAP = _Artifact("sweep_map", ("bin", "theta", "abs_p"), (
     _DEPTHS, _Column("magnitudes", "abs_p", "ND", float)))
 
-WAVEFORM_FIELDS, RESPONSE_FIELDS, RECON_FIELDS, SWEEP_FIELDS, MAP_FIELDS = (
-    art.header for art in (_WAVEFORM, _RESPONSE_MAP, _RECONSTRUCTION, _SWEEP_FIDELITY, _SWEEP_MAP))
-
 
 def fmt_float(x: float) -> str:
     """Render a double with 17 significant digits (lossless round trip)."""

@@ -1,12 +1,11 @@
 """Invert measured response factors back into the complex wavefunction.
 
-Two inverters: the closed form for the +/- pi/2 depth pair, and a
-generalized inversion valid for an arbitrary +/- theta pair. Both recover,
-per bin, the scaled quantity w = psi_n * <b0|a_n> / <b0|psi> (times 4); the
-overall normalization and global phase are unobservable and fixed by
-convention afterwards.
+One closed-form inversion, valid for any +/- theta pair, recovers per bin
+the scaled quantity w = psi_n * <b0|a_n> / <b0|psi> (times 4); the overall
+normalization and global phase are unobservable and fixed by convention
+afterwards.
 
-The closed form is two-valued: it returns 4*Re[w] only while Re[w] <= 1/2
+The inversion is two-valued: it returns 4*Re[w] only while Re[w] <= 1/2
 and silently folds to 4*(1 - Re[w]) beyond. That violation cannot be seen
 from a single bin's data, but the bin contributions must sum to one
 (sum_u w_u = 1 identically), so a fold leaves a detectable deficit in the
@@ -64,37 +63,13 @@ class ReconstructionResult:
     nodes: np.ndarray
 
 
-def invert_pm_halfpi(p1, p2):
-    """Closed-form inversion of the (+pi/2, -pi/2) response pair.
+def _one_minus_cos(theta: float) -> float:
+    """``1 - cos(theta)`` of a depth the inversion can use; raise for any other.
 
-    Returns ``(re, im, branch_ok)``; accepts scalars or equal-shape arrays.
-    ``im = p1 - p2`` exactly; ``re`` clamps a slightly negative radicand to
-    zero and reports it through ``branch_ok``.
+    A depth must be finite and positive, and ``1 - cos(theta)`` must be at
+    least SINGULAR_TOL: nearer the identity quench (0 mod 2pi) the inversion
+    is singular.
     """
-    p1a = np.asarray(p1, dtype=np.float64)
-    p2a = np.asarray(p2, dtype=np.float64)
-    im = p1a - p2a
-    radicand = 4.0 * (1.0 - p1a - p2a) - im**2
-    re = 2.0 - np.sqrt(np.maximum(radicand, 0.0))
-    ok = (radicand >= -RADICAND_TOL) & (re <= 2.0 + RADICAND_TOL)
-    if np.isscalar(p1) and np.isscalar(p2):
-        return float(re), float(im), bool(ok)
-    return re, im, ok
-
-
-def invert_general(p_plus, p_minus, theta):
-    """Inversion of an arbitrary (+theta, -theta) response pair.
-
-    Derivation: with w the per-bin scaled amplitude,
-    ``p(+-theta) = -2 Re[(e^{+-i theta}-1) w] - |e^{+-i theta}-1|^2 |w|^2``,
-    so the difference isolates ``4 sin(theta) Im[w]`` and the sum gives
-    ``4 (1-cos(theta)) (Re[w] - |w|^2)``; the quadratic in Re[w] takes the
-    branch with Re[w] <= 1/2. At theta = pi/2 this reduces exactly to
-    :func:`invert_pm_halfpi`. At theta = pi the antisymmetric channel
-    vanishes identically (sin(pi) = 0) and the imaginary part is reported
-    as 0. Depths with 1 - cos(theta) below SINGULAR_TOL are rejected.
-    """
-    theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if theta <= 0:
@@ -104,6 +79,22 @@ def invert_general(p_plus, p_minus, theta):
         raise SingularDepthError(
             f"theta={theta!r} is within {SINGULAR_TOL:.0e} of the identity quench"
         )
+    return one_minus_cos
+
+
+def invert_general(p_plus, p_minus, theta):
+    """Inversion of an arbitrary (+theta, -theta) response pair.
+
+    Derivation: with w the per-bin scaled amplitude,
+    ``p(+-theta) = -2 Re[(e^{+-i theta}-1) w] - |e^{+-i theta}-1|^2 |w|^2``,
+    so the difference isolates ``4 sin(theta) Im[w]`` and the sum gives
+    ``4 (1-cos(theta)) (Re[w] - |w|^2)``; the quadratic in Re[w] takes the
+    branch with Re[w] <= 1/2. At theta = pi the antisymmetric channel
+    vanishes identically (sin(pi) = 0) and the imaginary part is reported
+    as 0. Depths with 1 - cos(theta) below SINGULAR_TOL are rejected.
+    """
+    theta = float(theta)
+    one_minus_cos = _one_minus_cos(theta)
     pp = np.asarray(p_plus, dtype=np.float64)
     pm = np.asarray(p_minus, dtype=np.float64)
     sin_t = math.sin(theta)
@@ -143,10 +134,10 @@ def phase_envelope(psi) -> np.ndarray:
 def invert_pair(depths, p):
     """Invert the response factors ``p[..., d]`` of a +/-theta ``depths`` pair.
 
-    Returns ``(re, im, branch_ok)`` over the leading axes of ``p``: the pi/2
-    closed form when the pair is +/-pi/2, the general inversion otherwise.
-    Every operation is elementwise, so a block of scans inverts to the same
-    bits as each scan on its own.
+    Returns ``(re, im, branch_ok)`` over the leading axes of ``p``, from
+    :func:`invert_general` at theta = |depth|. Every operation is
+    elementwise, so a block of scans inverts to the same bits as each scan
+    on its own.
     """
     if len(depths) != 2:
         raise IncompleteDepthsError(
@@ -159,10 +150,7 @@ def invert_pair(depths, p):
         )
     plus_idx = 0 if a > 0 else 1
     p = np.asarray(p, dtype=np.float64)
-    pr_p, pr_m, theta = p[..., plus_idx], p[..., 1 - plus_idx], abs(a)
-    if abs(theta - np.pi / 2) <= 1e-12:
-        return invert_pm_halfpi(pr_p, pr_m)
-    return invert_general(pr_p, pr_m, theta)
+    return invert_general(p[..., plus_idx], p[..., 1 - plus_idx], abs(a))
 
 
 def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
@@ -222,11 +210,10 @@ def reconstruct_inverted(grid: BasisGrid, re, im, branch_ok,
 def reconstruct_wavefunction(rmap: ResponseMap, overlaps=None) -> ReconstructionResult:
     """Recover the complex wavefunction from a +/-theta response map.
 
-    Uses the pi/2 closed form when the pair is +/-pi/2 and the general
-    inversion otherwise. The raw values are normalized to a unit vector
-    (absorbing the omitted constant factor) and the unobservable global
-    phase is fixed by rotating the largest-amplitude bin to be real
-    positive.
+    Inverts the pair with :func:`invert_general`. The raw values are
+    normalized to a unit vector (absorbing the omitted constant factor) and
+    the unobservable global phase is fixed by rotating the largest-amplitude
+    bin to be real positive.
 
     ``overlaps`` corrects for a non-constant post-selector: the inversion
     recovers psi_u times the selector overlap, so for a selector whose

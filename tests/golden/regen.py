@@ -18,6 +18,9 @@ Python and numpy versions, numpy's CPU dispatch (the data
 repository root, after a change that moves output bits on purpose:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+It prints the name of each file whose bytes changed (or that is new) and
+the count of files that kept their bytes.
 """
 
 import json
@@ -107,11 +110,18 @@ def generate(folder: Path) -> list:
 
 
 def main() -> int:
+    before = {path.name: path.read_bytes()
+              for path in (*FOLDER.glob("*.csv"), *FOLDER.glob("*.json"))}
     names = generate(FOLDER)
     manifest = {"environment": environment(), "files": names}
     (FOLDER / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
+    written = [*names, MANIFEST]
+    moved = [name for name in written if before.get(name) != (FOLDER / name).read_bytes()]
+    for name in moved:
+        print(f"{'changed' if name in before else 'new'}: {name}")
     total = sum((FOLDER / name).stat().st_size for name in names)
     print(f"{len(names)} files, {total} bytes in {FOLDER}")
+    print(f"{len(moved)} changed, {len(written) - len(moved)} unchanged (the manifest included)")
     return 0
 
 

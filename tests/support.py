@@ -153,7 +153,14 @@ def measure_with_noise(true_pr, noise: NoiseModel, key=None, baseline_p0=None) -
     if key is None:
         key = rng.stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
     scale = noise.relative_sigma * (true_pr if baseline_p0 is None else baseline_p0)
-    return _kernels.noisy_mean_scalar(true_pr, scale, noise.trials, key)
+    return mean_of_one_cell(true_pr, scale, noise.trials, key)
+
+
+def mean_of_one_cell(value, sigma_abs, trials, key) -> float:
+    """:func:`_kernels.noisy_mean_matrix` of one probability on one stream key."""
+    cell = np.array([[value]], dtype=np.float64)
+    keys = np.array([[key]], dtype=np.uint64)
+    return float(_kernels.noisy_mean_matrix(cell, sigma_abs, trials, keys)[0, 0])
 
 
 # The per-scan finishing and scoring formulas as they stood before both became

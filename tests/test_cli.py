@@ -349,6 +349,14 @@ def test_sweep_custom_depths_json(tmp_path, wave_csv):
     assert np.all(table["seed_count"] == 3)
 
 
+@pytest.mark.parametrize("theta,code", [("2pi", 9), ("1e-6", 9), ("-pi/2", 12)])
+def test_sweep_bad_depth_exit_code(tmp_path, wave_csv, theta, code):
+    # a depth near 0 mod 2pi is singular, as in reconstruct; a negative one is a bad value
+    assert run("sweep", "--input", str(wave_csv), f"--theta={theta}",
+               "--out", str(tmp_path / "sw")) == code
+    assert not (tmp_path / "sw_fidelity.csv").exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, wave_csv):
     config = tmp_path / "conf.json"
     config.write_text('{"sigma": 0.0, "theta": ["pi/2", "-pi/2"]}')

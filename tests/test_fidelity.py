@@ -5,6 +5,7 @@ from qquench import (
     BasisGrid,
     DegenerateBaselineError,
     NoiseModel,
+    SingularDepthError,
     builtin_waveform,
     depth_sweep,
     dft_post_selector,
@@ -185,7 +186,7 @@ def test_depth_sweep_validates_arguments():
         depth_sweep(state, sel, (), noise)
     with pytest.raises(ValueError):
         depth_sweep(state, sel, (-0.5,), noise)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularDepthError):
         depth_sweep(state, sel, (2 * np.pi,), noise)
     with pytest.raises(ValueError):
         depth_sweep(state, sel, (np.pi / 2,), noise, n_seeds=1)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qquench import _kernels, rng
-from support import oracle_probabilities, per_trial_means, pure_python_mean, random_state
+from support import (mean_of_one_cell, oracle_probabilities, per_trial_means, pure_python_mean,
+                     random_state)
 from qquench import BasisGrid, uniform_post_selector
 
 
@@ -44,7 +45,7 @@ def test_trial_average_converges():
     true = 0.3
     sigma = 0.05
     trials = 20_000
-    got = _kernels.noisy_mean_scalar(true, sigma, trials, rng.stream_key(8, -1, 1.0))
+    got = mean_of_one_cell(true, sigma, trials, rng.stream_key(8, -1, 1.0))
     se = sigma / np.sqrt(trials)
     assert abs(got - true) < 5 * se
 
@@ -52,7 +53,7 @@ def test_trial_average_converges():
 def test_clamping_biases_tiny_probabilities_up():
     # true probability far below sigma: negatives clamp to 0, so the
     # average must sit above the true value
-    got = _kernels.noisy_mean_scalar(1e-6, 0.05, 50_000, rng.stream_key(9, -1, 1.0))
+    got = mean_of_one_cell(1e-6, 0.05, 50_000, rng.stream_key(9, -1, 1.0))
     assert got > 1e-6
 
 
@@ -77,8 +78,6 @@ def test_noisy_means_match_pure_python_oracle():
     assert above.any() and not above.all()  # both paths run
     got = _kernels.noisy_mean_matrix(pr, sigma, trials, keys)
     assert np.allclose(got, oracle, rtol=0, atol=1e-15)
-    scalar = _kernels.noisy_mean_scalar(pr[1, 2], sigma, trials, int(keys[1, 2]))
-    assert scalar == pytest.approx(oracle[1, 2], rel=0, abs=1e-15)
 
 
 def _problem(n, trials):

@@ -430,6 +430,6 @@ def test_package_exports_its_public_names_and_no_module():
     import types
 
     import qquench
-    assert len(qquench.__all__) == 45 and "scan" in qquench.__all__
+    assert len(qquench.__all__) == 44 and "scan" in qquench.__all__
     assert not any(isinstance(getattr(qquench, name), types.ModuleType)
                    for name in qquench.__all__)
