@@ -299,6 +299,10 @@ def cmd_reconstruct(args) -> int:
     bin_width = DEFAULT_BIN_WIDTH if args.bin_width is None else float(args.bin_width)
     origin = 0.0 if args.origin is None else float(args.origin)
     rmap = qio.load_response_map(args.input, bin_width=bin_width, origin=origin)
+    ref = None if args.reference is None else qio.load_waveform(args.reference)
+    if ref is not None and ref.grid.size != rmap.grid.size:
+        raise DimensionMismatchError(f"--reference has {ref.grid.size} bins, "
+                                     f"{args.input} has {rmap.grid.size}")
     # a JSON map names the selector its scan used; an explicit one must agree
     text = args.selector
     recorded = rmap.meta.get("selector")
@@ -315,10 +319,8 @@ def cmd_reconstruct(args) -> int:
     qio.save_reconstruction(out, result, args.format)
     flagged = int(np.sum(~result.branch_ok))
     print(f"{out}: {result.grid.size} bins, {flagged} flagged")
-    if args.reference is not None:
-        ref = qio.load_waveform(args.reference)
-        f_w = fidelity_overall(result.psi, ref.amplitudes)
-        print(f"f_w = {qio.fmt_float(f_w)}")
+    if ref is not None:
+        print(f"f_w = {qio.fmt_float(fidelity_overall(result.psi, ref.amplitudes))}")
     return EXIT_OK
 
 

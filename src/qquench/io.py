@@ -4,12 +4,11 @@ Every format exists as CSV (flat, plot-friendly) and JSON (self-describing).
 A JSON file is one object on one line whose ``format`` tag names the
 artifact and the layout version, e.g. ``"qquench.response_map/2"``; every
 array in it is a column (a list, or an N x D list of lists). A JSON file
-without a ``format`` tag is read as version 1, the per-bin record layout
-of earlier releases. CSV floats are written with 17 significant digits and
-JSON floats as their shortest repr, so a write-then-read cycle reproduces
-every double exactly. All writes are atomic: content goes to a temporary
-file in the destination directory first and is renamed into place, so a
-crash never leaves a half-written file behind.
+without that tag is rejected. CSV floats are written with 17 significant
+digits and JSON floats as their shortest repr, so a write-then-read cycle
+reproduces every double exactly. All writes are atomic: content goes to a
+temporary file in the destination directory first and is renamed into
+place, so a crash never leaves a half-written file behind.
 
 Each artifact is described once, by its table of columns below, and one
 CSV writer and reader and one JSON writer and reader serve all of them. A
@@ -210,12 +209,22 @@ def _bin_major(path, what: str, table: np.ndarray) -> np.ndarray:
     return block
 
 
-def _table(path, art: _Artifact, rows: list) -> dict:
-    """Columns by JSON key, plus ``bin``, from ``rows`` of values in ``art.header`` order.
+def _read_csv(path, art: _Artifact) -> dict:
+    """``art``'s CSV as columns by JSON key, plus ``bin``.
 
     A long table is regrouped by bin into (N, D) blocks (its columns are
     numbers); a wide one keeps its columns.
     """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    if tuple(rows[0]) != art.header:
+        raise ValueError(f"{path}: expected header {','.join(art.header)}, "
+                         f"got {','.join(rows[0])}")
+    if any(len(row) != len(art.header) for row in rows):
+        raise ValueError(f"{path}: every row must have {len(art.header)} cells")
+    rows = rows[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     what = art.tag.replace("_", " ")
@@ -242,20 +251,6 @@ def _table(path, art: _Artifact, rows: list) -> dict:
     return cols
 
 
-def _read_csv(path, art: _Artifact) -> dict:
-    """``art``'s CSV as columns by JSON key, plus ``bin``."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if tuple(rows[0]) != art.header:
-        raise ValueError(f"{path}: expected header {','.join(art.header)}, "
-                         f"got {','.join(rows[0])}")
-    if any(len(row) != len(art.header) for row in rows):
-        raise ValueError(f"{path}: every row must have {len(art.header)} cells")
-    return _table(path, art, rows[1:])
-
-
 def _by_csv(art: _Artifact, cols: dict) -> dict:
     """Columns keyed by their CSV names, in CSV order."""
     key = {c.csv: c.key for c in art.columns}
@@ -270,14 +265,6 @@ def _field(path, payload: dict, name: str):
     if value is None:
         raise ValueError(f"{path}: missing or null field {name!r}")
     return value
-
-
-def _records(path, payload: dict, name: str) -> list:
-    """A v1 list of objects, such as the per-bin records of a response map."""
-    records = _field(path, payload, name)
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise ValueError(f"{path}: field {name!r} must be a list of objects")
-    return records
 
 
 def _exact(path, name: str, values, kind):
@@ -326,23 +313,18 @@ def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
     return _finite(path, col.key, values) if col.kind is float else values
 
 
-def _read_json(path, art: _Artifact, v1=None):
-    """Load ``art``'s JSON: ``(payload, columns by key)``.
-
-    A file without a ``format`` tag is version 1: ``v1(path, payload)``
-    reads its per-bin records, or, where ``v1`` is None, the version 1
-    layout is the columnar one. Any other tag is rejected.
-    """
+def _read_json(path, art: _Artifact):
+    """Load ``art``'s JSON, tagged as ``art``: ``(payload, columns by key)``."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     tag = payload.get("format")
-    if tag is not None and tag != _format_tag(art):
+    if tag is None:
+        raise ValueError(f"{path}: missing or null field 'format' (untagged v1 files are not read)")
+    if tag != _format_tag(art):
         raise ValueError(f"{path}: unsupported format {tag!r}; "
                          f"a {art.tag} file is {_format_tag(art)!r}")
-    if tag is None and v1 is not None:
-        return payload, v1(path, payload)
     sizes = {}
     return payload, {c.key: _column(path, payload, c, sizes) if c.axis
                      else _number(path, payload, c.key, c.kind)
@@ -374,18 +356,13 @@ def _grid_from_times(times: np.ndarray) -> BasisGrid:
                      origin=float(times[0]) - width / 2.0)
 
 
-def _v1_waveform(path, payload: dict) -> dict:
-    samples = _records(path, payload, "samples")
-    return {name: np.array([_number(path, s, name) for s in samples]) for name in ("amp", "phase")}
-
-
 def load_waveform(path, fmt: str | None = None) -> WavefunctionState:
     """Read a waveform file and return the normalized state it describes."""
     if resolve_format(path, fmt) == "csv":
         cols = _read_csv(path, _WAVEFORM)
         grid = _grid_from_times(cols["t"])
     else:
-        payload, cols = _read_json(path, _WAVEFORM, _v1_waveform)
+        payload, cols = _read_json(path, _WAVEFORM)
         grid = _json_grid(path, payload, cols["amp"].size)
     amps = cols["amp"]
     if np.any(amps < 0):
@@ -404,18 +381,6 @@ def save_response_map(path, rmap: ResponseMap, fmt: str | None = None) -> None:
           meta={**rmap.meta, "version": __version__})
 
 
-def _v1_response_map(path, payload: dict) -> dict:
-    """A v1 map's records are the rows of its CSV; they must list the map's depths."""
-    rows = [[_number(path, rec, "bin", int), _number(path, e, "theta"), _number(path, rec, "P0"),
-             _number(path, e, "Pr"), _number(path, e, "p")]
-            for rec in _records(path, payload, "records")
-            for e in _records(path, rec, "entries")]
-    cols = _table(path, _RESPONSE_MAP, rows)
-    if cols["depths"].tolist() != _column(path, payload, _DEPTHS, {}).tolist():
-        raise ValueError(f"{path}: record depths differ from the map's depth list")
-    return cols
-
-
 def load_response_map(path, fmt: str | None = None,
                       bin_width: float = DEFAULT_BIN_WIDTH,
                       origin: float = 0.0) -> ResponseMap:
@@ -425,12 +390,11 @@ def load_response_map(path, fmt: str | None = None,
         cols = _read_csv(path, _RESPONSE_MAP)
         grid = BasisGrid(size=len(cols["pr"]), bin_width=bin_width, origin=origin)
     else:
-        payload, cols = _read_json(path, _RESPONSE_MAP, _v1_response_map)
+        payload, cols = _read_json(path, _RESPONSE_MAP)
         grid = _json_grid(path, payload, len(cols["pr"]))
-        if "format" in payload:
-            meta = _field(path, payload, "meta")
-            if not isinstance(meta, dict):
-                raise ValueError(f"{path}: meta must be a JSON object")
+        meta = _field(path, payload, "meta")
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: meta must be a JSON object")
     return ResponseMap(grid=grid, depths=cols["depths"], pr=cols["pr"], p=cols["p"],
                        p0=cols["p0"], meta=meta)
 
@@ -447,17 +411,6 @@ def save_reconstruction(path, result: ReconstructionResult,
         "branch_ok": result.branch_ok, "psi_re": psi.real, "psi_im": psi.imag})
 
 
-def _v1_reconstruction(path, payload: dict) -> dict:
-    bins, psi = _records(path, payload, "bins"), _records(path, payload, "psi")
-    if len(psi) != len(bins):
-        raise ValueError(f"{path}: psi has {len(psi)} entries for {len(bins)} bins")
-    cols = {name: np.array([_number(path, b, name) for b in bins]) for name in ("re", "im")}
-    cols["branch_ok"] = np.array([_number(path, b, "branch_ok", bool) for b in bins])
-    cols.update((f"psi_{part}", np.array([_number(path, z, part) for z in psi]))
-                for part in ("re", "im"))
-    return cols
-
-
 def load_reconstruction(path, fmt: str | None = None,
                         bin_width: float = DEFAULT_BIN_WIDTH,
                         origin: float = 0.0):
@@ -469,7 +422,7 @@ def load_reconstruction(path, fmt: str | None = None,
     """
     if resolve_format(path, fmt) == "csv":
         return _by_csv(_RECONSTRUCTION, _read_csv(path, _RECONSTRUCTION))
-    payload, cols = _read_json(path, _RECONSTRUCTION, _v1_reconstruction)
+    payload, cols = _read_json(path, _RECONSTRUCTION)
     psi = np.empty(cols["re"].shape, dtype=np.complex128)
     psi.real, psi.imag = cols["psi_re"], cols["psi_im"]
     return ReconstructionResult(
@@ -495,7 +448,6 @@ def save_sweep_map(path, sweep, fmt: str | None = None) -> None:
 
 def load_sweep_fidelity(path, fmt: str | None = None) -> dict:
     """Read a fidelity table back as a dict of column arrays."""
-    # v1 and v2 share the columnar layout; v2 only adds the tag
     cols = (_read_csv(path, _SWEEP_FIDELITY) if resolve_format(path, fmt) == "csv"
             else _read_json(path, _SWEEP_FIDELITY)[1])
     cols["seed_count"] = np.full(cols["depths"].size, cols["seed_count"], dtype=np.int64)

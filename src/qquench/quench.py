@@ -85,6 +85,8 @@ class ResponseMap:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "p0", float(self.p0))
+        if not self.p0 > BASELINE_FLOOR:
+            raise DegenerateBaselineError(f"P0={self.p0:.3e} at or below floor {BASELINE_FLOOR:.0e}")
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property

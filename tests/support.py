@@ -303,112 +303,69 @@ def libm_reference_normals(key, counters):
     u1, u2 = reference_uniforms(key, counters)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
-# The file writers as they stood before the v2 JSON layout and the
-# column-built CSV: JSON as per-bin records written with indent=2, CSV row by
-# row through csv.writer. v1 JSON files must still load to the same arrays,
-# and the CSV bytes must not change.
+# The CSV writers as they stood before the column-built CSV: row by row
+# through csv.writer. They pin the CSV bytes of every artifact.
 
-def _v1_fmt(x) -> str:
+def _csv_fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _v1_write(path, fmt, header, rows, payload):
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+def _csv_write(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.write(buf.getvalue())
 
 
-def v1_save_waveform(path, state, fmt):
+def csv_save_waveform(path, state):
     times = state.grid.times()
     amps = np.abs(state.amplitudes)
     phases = phase_envelope(state.amplitudes)
-    rows = [(_v1_fmt(t), _v1_fmt(a), _v1_fmt(ph)) for t, a, ph in zip(times, amps, phases)]
-    payload = {
-        "bin_width": state.grid.bin_width,
-        "origin": state.grid.origin,
-        "samples": [{"t": float(t), "amp": float(a), "phase": float(ph)}
-                    for t, a, ph in zip(times, amps, phases)],
-    }
-    _v1_write(path, fmt, ("t", "amplitude", "phase"), rows, payload)
+    rows = [(_csv_fmt(t), _csv_fmt(a), _csv_fmt(ph)) for t, a, ph in zip(times, amps, phases)]
+    _csv_write(path, ("t", "amplitude", "phase"), rows)
 
 
-def v1_save_response_map(path, rmap, fmt):
-    pr, p = rmap.pr.tolist(), rmap.p.tolist()
-    p0 = _v1_fmt(rmap.p0)
-    thetas = [_v1_fmt(t) for t in rmap.depths]
-    rows = [(str(n), theta, p0, _v1_fmt(pr_nd), _v1_fmt(p_nd))
-            for n, (pr_n, p_n) in enumerate(zip(pr, p))
+def csv_save_response_map(path, rmap):
+    p0 = _csv_fmt(rmap.p0)
+    thetas = [_csv_fmt(t) for t in rmap.depths]
+    rows = [(str(n), theta, p0, _csv_fmt(pr_nd), _csv_fmt(p_nd))
+            for n, (pr_n, p_n) in enumerate(zip(rmap.pr.tolist(), rmap.p.tolist()))
             for theta, pr_nd, p_nd in zip(thetas, pr_n, p_n)]
-    payload = {
-        "bin_width": rmap.grid.bin_width,
-        "origin": rmap.grid.origin,
-        "depths": list(rmap.depths),
-        "records": [
-            {"bin": n, "P0": rmap.p0,
-             "entries": [{"theta": t, "Pr": pr_nd, "p": p_nd}
-                         for t, pr_nd, p_nd in zip(rmap.depths, pr_n, p_n)]}
-            for n, (pr_n, p_n) in enumerate(zip(pr, p))
-        ],
-    }
-    _v1_write(path, fmt, ("bin", "theta", "P0", "Pr", "p"), rows, payload)
+    _csv_write(path, ("bin", "theta", "P0", "Pr", "p"), rows)
 
 
-def v1_save_reconstruction(path, result, fmt):
+def csv_save_reconstruction(path, result):
     times = result.grid.times()
     abs2 = result.amplitude_env**2
-    rows = [(str(u), _v1_fmt(times[u]), _v1_fmt(result.raw_re[u]), _v1_fmt(result.raw_im[u]),
-             _v1_fmt(abs2[u]), _v1_fmt(result.phase_env[u]),
+    rows = [(str(u), _csv_fmt(times[u]), _csv_fmt(result.raw_re[u]), _csv_fmt(result.raw_im[u]),
+             _csv_fmt(abs2[u]), _csv_fmt(result.phase_env[u]),
              "true" if result.branch_ok[u] else "false")
             for u in range(result.grid.size)]
-    payload = {
-        "bin_width": result.grid.bin_width,
-        "origin": result.grid.origin,
-        "bins": [
-            {"bin": u, "t": float(times[u]), "re": float(result.raw_re[u]),
-             "im": float(result.raw_im[u]), "abs2": float(abs2[u]),
-             "phase": float(result.phase_env[u]), "branch_ok": bool(result.branch_ok[u])}
-            for u in range(result.grid.size)
-        ],
-        "psi": [{"re": float(z.real), "im": float(z.imag)} for z in result.psi],
-    }
-    _v1_write(path, fmt, ("bin", "t", "re", "im", "abs2", "phase", "branch_ok"), rows, payload)
+    _csv_write(path, ("bin", "t", "re", "im", "abs2", "phase", "branch_ok"), rows)
 
 
 SWEEP_STATS = ("fw_mean", "fw_std", "fp_mean", "fp_std", "fa_mean", "fa_std")
 
 
-def v1_save_sweep_fidelity(path, sweep, fmt):
-    rows = [(_v1_fmt(sweep.depths[d]), str(sweep.seed_count),
-             *(_v1_fmt(getattr(sweep, name)[d]) for name in SWEEP_STATS))
+def csv_save_sweep_fidelity(path, sweep):
+    rows = [(_csv_fmt(sweep.depths[d]), str(sweep.seed_count),
+             *(_csv_fmt(getattr(sweep, name)[d]) for name in SWEEP_STATS))
             for d in range(sweep.depths.size)]
-    payload = {"seed_count": sweep.seed_count, "depths": [float(t) for t in sweep.depths],
-               **{name: [float(v) for v in getattr(sweep, name)] for name in SWEEP_STATS}}
-    _v1_write(path, fmt, ("theta", "seed_count", *SWEEP_STATS), rows, payload)
+    _csv_write(path, ("theta", "seed_count", *SWEEP_STATS), rows)
 
 
-def v1_save_sweep_map(path, sweep, fmt):
+def csv_save_sweep_map(path, sweep):
     mags = sweep.response_magnitudes
-    rows = [(str(u), _v1_fmt(sweep.depths[d]), _v1_fmt(mags[u, d]))
+    rows = [(str(u), _csv_fmt(sweep.depths[d]), _csv_fmt(mags[u, d]))
             for u in range(mags.shape[0]) for d in range(sweep.depths.size)]
-    payload = {
-        "bin_width": sweep.grid.bin_width,
-        "origin": sweep.grid.origin,
-        "depths": [float(t) for t in sweep.depths],
-        "magnitudes": [[float(v) for v in row] for row in mags],
-    }
-    _v1_write(path, fmt, ("bin", "theta", "abs_p"), rows, payload)
+    _csv_write(path, ("bin", "theta", "abs_p"), rows)
 
 
 # The JSON version 2 writers as they stood before io.py described each
-# artifact by one column table; with the version 1 CSV writers above they
-# pin the bytes of every artifact in both formats.
+# artifact by one column table; with the CSV writers above they pin the
+# bytes of every artifact in both formats.
 
 def _v2_floats(values) -> list:
     return np.asarray(values, dtype=np.float64).ravel().tolist()
@@ -478,7 +435,7 @@ def v2_save_sweep_map(path, sweep):
 
 def edit_json(path, field: str, value):
     """Set the field at the dotted path ``field`` of a JSON file, such as
-    ``"records.3.P0"``, to ``value``, or delete it if ``value`` is ``"missing"``."""
+    ``"pr.3.0"``, to ``value``, or delete it if ``value`` is ``"missing"``."""
     payload = json.loads(path.read_text())
     *outer, last = (int(key) if key.isdigit() else key for key in field.split("."))
     node = payload

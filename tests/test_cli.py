@@ -1,14 +1,15 @@
 import filecmp
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qquench import (load_reconstruction, load_response_map, load_sweep_fidelity,
-                     load_waveform)
+from qquench import load_reconstruction, load_response_map, load_sweep_fidelity
 from qquench.cli import _CONFIG_TYPES, _build_parser, main, parse_theta
 
 import support
@@ -259,26 +260,74 @@ def test_reconstruct_unknown_format_tag(tmp_path, capsys):
     assert "qquench.response_map/9" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field,value", [("records", "missing"), ("records.3.P0", None)])
-def test_reconstruct_v1_map_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
-                                                         field, value):
+def test_reconstruct_untagged_map_exits_12(tmp_path, wave_csv, capsys):
     map_path = tmp_path / "map.json"
-    assert run("scan", "--input", str(wave_csv), "--sigma", "0", "--out", str(map_path)) == 0
-    support.v1_save_response_map(map_path, load_response_map(map_path), "json")
-    support.edit_json(map_path, field, value)
-    assert run("reconstruct", "--input", str(map_path),
-               "--out", str(tmp_path / "rec.json")) == 12
-    assert f"missing or null field {field.split('.')[-1]!r}" in capsys.readouterr().err
+    assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    support.edit_json(map_path, "format", "missing")
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 12
+    assert "missing or null field 'format'" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("field,value", [("samples.0.amp", "missing"), ("origin", None)])
-def test_prepare_v1_waveform_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
-                                                          field, value):
+def test_prepare_untagged_waveform_exits_12(tmp_path, wave_csv, capsys):
     wave_json = tmp_path / "wave.json"
-    support.v1_save_waveform(wave_json, load_waveform(wave_csv), "json")
-    support.edit_json(wave_json, field, value)
+    assert run("prepare", "--input", str(wave_csv), "--out", str(wave_json)) == 0
+    support.edit_json(wave_json, "format", None)
     assert run("prepare", "--input", str(wave_json), "--out", str(tmp_path / "w.csv")) == 12
-    assert f"missing or null field {field.split('.')[-1]!r}" in capsys.readouterr().err
+    assert "missing or null field 'format'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("p0", ["-0.5", "0.0", "1e-9"])
+def test_reconstruct_rejects_a_map_whose_baseline_is_at_or_below_the_floor(tmp_path, wave_csv,
+                                                                           capsys, fmt, p0):
+    map_path = tmp_path / f"map.{fmt}"
+    assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    if fmt == "json":
+        support.edit_json(map_path, "p0", float(p0))
+    else:
+        lines = map_path.read_text().splitlines()
+        at = lines[0].split(",").index("P0")
+        for row, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            cells[at] = p0
+            lines[row] = ",".join(cells)
+        map_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 8
+    assert "floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_a_reference_of_another_size(tmp_path, wave_csv, capsys):
+    map_path, wave30 = tmp_path / "map.json", tmp_path / "wave30.csv"
+    assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    assert run("prepare", "--waveform", "gaussian_flat_phase", "--bins", "30",
+               "--out", str(wave30)) == 0
+    capsys.readouterr()
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--reference", str(wave30),
+               "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert "30 bins" in err and "has 20" in err
+    assert not out.exists()
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qquench ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = argv[argv.index("--out") + 1]
+        # sweep's --out is a prefix for its two tables
+        names = [f"{out}_fidelity.csv", f"{out}_map.csv"] if argv[0] == "sweep" else [out]
+        for name in names:
+            assert (tmp_path / name).is_file(), (line, name)
 
 
 @pytest.mark.parametrize("fmt,column,value", [

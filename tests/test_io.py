@@ -35,6 +35,7 @@ from qquench import (
 )
 from qquench import amplitude_nodes, phase_envelope
 from qquench.io import atomic_write_text, fmt_float, resolve_format
+from qquench.quench import BASELINE_FLOOR
 
 import support
 
@@ -204,12 +205,13 @@ def test_response_map_csv_rejects_baselines_that_differ_between_bins(tmp_path):
 
 
 def test_response_map_json_rejects_baselines_that_differ_between_bins(tmp_path, pipeline):
+    # a JSON map stores its one baseline as a scalar: a per-bin list is no number
     path = tmp_path / "p0.json"
-    support.v1_save_response_map(path, pipeline[1], "json")
+    save_response_map(path, pipeline[1], "json")
     payload = json.loads(path.read_text())
-    payload["records"][3]["P0"] *= 1.5
+    payload["p0"] = [payload["p0"] * (1.5 if n == 3 else 1.0) for n in range(8)]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="P0"):
+    with pytest.raises(ValueError, match="field 'p0' must be a number"):
         load_response_map(path)
 
 
@@ -292,6 +294,8 @@ def test_format_override_beats_suffix(tmp_path, pipeline):
 # Exact round trips of every save/load pair on arbitrary finite doubles.
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# a response map's baseline must lie above the floor
+_baseline = st.floats(min_value=BASELINE_FLOOR, exclude_min=True, allow_infinity=False)
 _shape = st.tuples(st.integers(2, 6), st.integers(1, 4))
 _formats = st.sampled_from(["csv", "json"])
 
@@ -326,7 +330,7 @@ def test_response_map_files_round_trip_exactly(tmp_path_factory, data, shape, fm
         depths=data.draw(st.lists(_finite, min_size=shape[1], max_size=shape[1])),
         pr=data.draw(arrays(np.float64, shape, elements=_finite)),
         p=data.draw(arrays(np.float64, shape, elements=_finite)),
-        p0=data.draw(_finite),
+        p0=data.draw(_baseline),
     )
     path = tmp_path_factory.mktemp("map") / f"map.{fmt}"
     save_response_map(path, rmap, fmt)
@@ -383,7 +387,7 @@ def test_sweep_files_round_trip_exactly(tmp_path_factory, data, shape, fmt, seed
     assert np.array_equal(heat["abs_p"], sweep.response_magnitudes)
 
 
-# Version 2 JSON: tagged, columnar, and read next to version 1 files.
+# Version 2 JSON: tagged and columnar; every JSON artifact carries its tag.
 
 def _draw_waveform(data, n, d):
     psi = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
@@ -397,7 +401,7 @@ def _draw_response_map(data, n, d):
         depths=data.draw(st.lists(_finite, min_size=d, max_size=d)),
         pr=data.draw(arrays(np.float64, (n, d), elements=_finite)),
         p=data.draw(arrays(np.float64, (n, d), elements=_finite)),
-        p0=data.draw(_finite),
+        p0=data.draw(_baseline),
         meta=data.draw(st.fixed_dictionaries({"selector": st.sampled_from(["uniform", "dft:3"]),
                                               "seed": st.integers(0, 2**64 - 1)})),
     )
@@ -425,14 +429,11 @@ def _draw_sweep(data, n, d):
 
 
 ARTIFACTS = {
-    "waveform": (_draw_waveform, save_waveform, support.v1_save_waveform, load_waveform),
-    "response_map": (_draw_response_map, save_response_map, support.v1_save_response_map,
-                     load_response_map),
-    "reconstruction": (_draw_reconstruction, save_reconstruction,
-                       support.v1_save_reconstruction, load_reconstruction),
-    "sweep_fidelity": (_draw_sweep, save_sweep_fidelity, support.v1_save_sweep_fidelity,
-                       load_sweep_fidelity),
-    "sweep_map": (_draw_sweep, save_sweep_map, support.v1_save_sweep_map, load_sweep_map),
+    "waveform": (_draw_waveform, save_waveform, load_waveform),
+    "response_map": (_draw_response_map, save_response_map, load_response_map),
+    "reconstruction": (_draw_reconstruction, save_reconstruction, load_reconstruction),
+    "sweep_fidelity": (_draw_sweep, save_sweep_fidelity, load_sweep_fidelity),
+    "sweep_map": (_draw_sweep, save_sweep_map, load_sweep_map),
 }
 
 
@@ -449,32 +450,13 @@ def _arrays(loaded) -> dict:
             **{name: np.asarray(getattr(loaded, name)) for name in fields}}
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), shape=_shape, artifact=st.sampled_from(sorted(ARTIFACTS)))
-def test_v1_and_v2_files_load_to_equal_arrays_and_csv_bytes_stay(tmp_path_factory, data,
-                                                                   shape, artifact):
-    draw, save, save_v1, load = ARTIFACTS[artifact]
-    obj = draw(data, *shape)
-    folder = tmp_path_factory.mktemp(artifact)
-    save_v1(folder / "v1.json", obj, "json")
-    save(folder / "v2.json", obj, "json")
-    assert "format" not in json.loads((folder / "v1.json").read_text())
-    assert json.loads((folder / "v2.json").read_text())["format"] == f"qquench.{artifact}/2"
-    old, new = _arrays(load(folder / "v1.json")), _arrays(load(folder / "v2.json"))
-    assert old.keys() == new.keys()
-    for name in old:
-        assert np.array_equal(old[name], new[name]), name
-    save_v1(folder / "v1.csv", obj, "csv")
-    save(folder / "v2.csv", obj, "csv")
-    assert (folder / "v2.csv").read_bytes() == (folder / "v1.csv").read_bytes()
-
-
+# the byte oracles of each artifact: (CSV, JSON)
 ORACLES = {
-    "waveform": support.v2_save_waveform,
-    "response_map": support.v2_save_response_map,
-    "reconstruction": support.v2_save_reconstruction,
-    "sweep_fidelity": support.v2_save_sweep_fidelity,
-    "sweep_map": support.v2_save_sweep_map,
+    "waveform": (support.csv_save_waveform, support.v2_save_waveform),
+    "response_map": (support.csv_save_response_map, support.v2_save_response_map),
+    "reconstruction": (support.csv_save_reconstruction, support.v2_save_reconstruction),
+    "sweep_fidelity": (support.csv_save_sweep_fidelity, support.v2_save_sweep_fidelity),
+    "sweep_map": (support.csv_save_sweep_map, support.v2_save_sweep_map),
 }
 
 
@@ -501,14 +483,11 @@ def _loaded_before(artifact, obj, fmt) -> dict:
        fmt=_formats)
 def test_writers_match_the_byte_oracle_and_its_files_load_as_before(tmp_path_factory, data,
                                                                      shape, artifact, fmt):
-    draw, save, save_v1, load = ARTIFACTS[artifact]
+    draw, save, load = ARTIFACTS[artifact]
     obj = draw(data, *shape)
     folder = tmp_path_factory.mktemp(artifact)
     oracle, new = folder / f"oracle.{fmt}", folder / f"new.{fmt}"
-    if fmt == "csv":
-        save_v1(oracle, obj, "csv")
-    else:
-        ORACLES[artifact](oracle, obj)
+    ORACLES[artifact][fmt == "json"](oracle, obj)
     save(new, obj, fmt)
     assert new.read_bytes() == oracle.read_bytes()
     kwargs = {}
@@ -550,12 +529,20 @@ def test_response_map_meta_defaults_empty_and_is_a_copy():
 
 
 @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
-def test_unknown_format_tag_is_named(tmp_path, artifact):
+def test_unknown_format_tag_is_named(tmp_path, pipeline, artifact):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"format": f"qquench.{artifact}/3"}))
-    load = ARTIFACTS[artifact][3]
+    _, save, load = ARTIFACTS[artifact]
     with pytest.raises(ValueError, match=f"qquench.{artifact}/3"):
         load(path)
+    # a file without a tag, such as one in the retired per-bin layout, is not read
+    state, rmap, rec, sweep = pipeline
+    obj = {"waveform": state, "response_map": rmap, "reconstruction": rec}.get(artifact, sweep)
+    save(path, obj)
+    for tag in ("missing", None):
+        support.edit_json(path, "format", tag)
+        with pytest.raises(ValueError, match="x.json: missing or null field 'format'"):
+            load(path)
 
 
 def test_v2_file_of_another_artifact_is_rejected(tmp_path, pipeline):
@@ -565,79 +552,44 @@ def test_v2_file_of_another_artifact_is_rejected(tmp_path, pipeline):
         load_response_map(path)
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
-def test_reconstruction_json_rejects_a_short_psi(tmp_path, version):
+def test_reconstruction_json_rejects_a_short_psi(tmp_path):
     grid = BasisGrid(size=20)
     state = builtin_waveform("gaussian_linear_chirp", grid)
     rec = reconstruct_wavefunction(scan(state, uniform_post_selector(grid),
                                         (np.pi / 2, -np.pi / 2), QUIET))
     path = tmp_path / "rec.json"
-    if version == "v1":
-        support.v1_save_reconstruction(path, rec, "json")
-        payload = json.loads(path.read_text())
-        payload["psi"] = payload["psi"][:5]
-    else:
-        save_reconstruction(path, rec, "json")
-        payload = json.loads(path.read_text())
-        payload["psi_re"] = payload["psi_re"][:5]
+    save_reconstruction(path, rec, "json")
+    payload = json.loads(path.read_text())
+    payload["psi_re"] = payload["psi_re"][:5]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="psi"):
         load_reconstruction(path)
 
 
 @pytest.mark.parametrize("artifact,field,value", [
-    ("waveform", "samples", "missing"),
-    ("waveform", "samples.3.phase", None),
-    ("response_map", "bin_width", None),
-    ("response_map", "records.2.entries", "missing"),
-    ("response_map", "records.5.entries.1.Pr", None),
-    ("reconstruction", "bins.4.re", "missing"),
-    ("reconstruction", "psi.0.im", None),
-])
-def test_v1_json_names_a_missing_or_null_field(tmp_path, pipeline, artifact, field, value):
-    path = tmp_path / f"{artifact}.json"
-    item, write, load = {
-        "waveform": (pipeline[0], support.v1_save_waveform, load_waveform),
-        "response_map": (pipeline[1], support.v1_save_response_map, load_response_map),
-        "reconstruction": (pipeline[2], support.v1_save_reconstruction, load_reconstruction),
-    }[artifact]
-    write(path, item, "json")
-    support.edit_json(path, field, value)
-    name = field.split(".")[-1]
-    with pytest.raises(ValueError, match=f"{artifact}.json: missing or null field {name!r}"):
-        load(path)
-
-
-@pytest.mark.parametrize("artifact,version,field,value", [
-    ("reconstruction", "v2", "branch_ok.0", "false"),
-    ("reconstruction", "v2", "branch_ok.1", 0.5),
-    ("reconstruction", "v2", "branch_ok.2", 1),
-    ("reconstruction", "v1", "bins.3.branch_ok", "false"),
-    ("sweep_fidelity", "v2", "seed_count", 3.7),
-    ("sweep_fidelity", "v2", "seed_count", 3.0),
-    ("sweep_fidelity", "v2", "seed_count", True),
-    ("response_map", "v1", "records.4.bin", 3.7),
-], ids=["branch_ok-string", "branch_ok-float", "branch_ok-int", "v1-branch_ok-string",
-        "seed_count-fraction", "seed_count-float", "seed_count-bool", "v1-bin-fraction"])
-def test_json_bool_and_int_fields_are_not_coerced(tmp_path, pipeline, artifact, version,
-                                                  field, value):
+    ("reconstruction", "branch_ok.0", "false"),
+    ("reconstruction", "branch_ok.1", 0.5),
+    ("reconstruction", "branch_ok.2", 1),
+    ("sweep_fidelity", "seed_count", 3.7),
+    ("sweep_fidelity", "seed_count", 3.0),
+    ("sweep_fidelity", "seed_count", True),
+], ids=["branch_ok-string", "branch_ok-float", "branch_ok-int",
+        "seed_count-fraction", "seed_count-float", "seed_count-bool"])
+def test_json_bool_and_int_fields_are_not_coerced(tmp_path, pipeline, artifact, field, value):
     # np.array(..., dtype=bool) reads "false" and 0.5 as True, int() truncates 3.7
-    state, rmap, rec, sweep = pipeline
-    obj = {"response_map": rmap, "reconstruction": rec}.get(artifact, sweep)
-    _, save, save_v1, load = ARTIFACTS[artifact]
+    obj = pipeline[2] if artifact == "reconstruction" else pipeline[3]
+    _, save, load = ARTIFACTS[artifact]
     path = tmp_path / f"{artifact}.json"
-    (save_v1 if version == "v1" else save)(path, obj, "json")
+    save(path, obj, "json")
     support.edit_json(path, field, value)
     name = next(key for key in reversed(field.split(".")) if not key.isdigit())
     with pytest.raises(ValueError, match=f"field {name!r} must hold JSON (int|bool)s"):
         load(path)
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
-def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline, version):
+def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline):
     path = tmp_path / "fid.json"
-    save = support.v1_save_sweep_fidelity if version == "v1" else save_sweep_fidelity
-    save(path, pipeline[3], "json")
+    save_sweep_fidelity(path, pipeline[3], "json")
     payload = json.loads(path.read_text())
     payload["fw_mean"] = payload["fw_mean"][:-1]
     path.write_text(json.dumps(payload))
@@ -704,11 +656,12 @@ def test_json_writers_stay_on_the_c_encoder(tmp_path, monkeypatch):
     assert len(os.listdir(tmp_path)) == 5
 
 
-def test_v2_response_map_is_at_most_a_third_of_v1(tmp_path):
+def test_v2_response_map_stores_at_most_24_bytes_per_value(tmp_path):
+    # the columnar file holds each pr and p double once, as its shortest repr
+    # (22.5 bytes a value here, separators, grid and meta included)
     rmap = _wide_artifacts()[1]
     save_response_map(tmp_path / "v2.json", rmap)
-    support.v1_save_response_map(tmp_path / "v1.json", rmap, "json")
-    assert 3 * os.path.getsize(tmp_path / "v2.json") <= os.path.getsize(tmp_path / "v1.json")
+    assert os.path.getsize(tmp_path / "v2.json") <= 24 * (rmap.pr.size + rmap.p.size)
 
 
 @pytest.mark.parametrize("field,value", [("p0", None), ("bin_width", "wide"), ("origin", [0]),
@@ -728,16 +681,6 @@ def test_response_map_v2_names_a_bad_field(tmp_path, pipeline, field, value):
 
 # Every float an artifact file holds must be finite, in every format.
 
-V1_FLOATS = {
-    "waveform": ("samples.2.amp", "samples.0.phase", "bin_width"),
-    "response_map": ("records.1.P0", "records.1.entries.0.theta", "records.2.entries.1.Pr",
-                     "records.0.entries.1.p", "depths.0", "origin"),
-    "reconstruction": ("bins.2.re", "bins.0.im", "psi.3.re", "psi.1.im", "bin_width"),
-    "sweep_fidelity": ("depths.0", "fw_mean.1", "fa_std.0"),
-    "sweep_map": ("depths.1", "magnitudes.1.0", "origin"),
-}
-
-
 def _v2_floats(payload) -> list:
     """The dotted path of the first float in each field of a v2 payload."""
     paths = []
@@ -752,21 +695,21 @@ def _v2_floats(payload) -> list:
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("version", ["csv", "v2", "v1"])
+@pytest.mark.parametrize("version", ["csv", "v2"])
 @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
 def test_every_float_read_from_a_file_must_be_finite(tmp_path, pipeline, artifact, version,
                                                       value):
     state, rmap, rec, sweep = pipeline
     obj = {"waveform": state, "response_map": rmap, "reconstruction": rec}.get(artifact, sweep)
-    _, save, save_v1, load = ARTIFACTS[artifact]
+    _, save, load = ARTIFACTS[artifact]
     path = tmp_path / f"{artifact}.{'csv' if version == 'csv' else 'json'}"
-    (save_v1 if version == "v1" else save)(path, obj, "csv" if version == "csv" else "json")
+    save(path, obj, "csv" if version == "csv" else "json")
     text = path.read_text()
     if version == "csv":
         header = text.split("\n", 1)[0].split(",")
         fields = [name for name in header if name not in ("bin", "branch_ok", "seed_count")]
     else:
-        fields = V1_FLOATS[artifact] if version == "v1" else _v2_floats(json.loads(text))
+        fields = _v2_floats(json.loads(text))
     assert fields
     for field in fields:
         if version == "csv":

@@ -18,7 +18,7 @@ from qquench import (
     uniform_post_selector,
 )
 from qquench import _kernels
-from qquench.quench import _sum_rule_baseline, measure_seeds
+from qquench.quench import BASELINE_FLOOR, _sum_rule_baseline, measure_seeds
 from support import (
     QuenchConfig,
     apply_quench,
@@ -298,6 +298,13 @@ def test_response_map_validates_record_order():
         ResponseMap(grid=grid, depths=(np.pi / 2, -np.pi / 2), pr=pr, p=p, p0=0.5)
     with pytest.raises(ValueError):  # not (N, D)
         ResponseMap(grid=grid, depths=depths, pr=pr.ravel(), p=p.ravel(), p0=0.5)
+
+
+@pytest.mark.parametrize("p0", [-0.5, 0.0, 1e-9, BASELINE_FLOOR, np.nan])
+def test_response_map_rejects_a_baseline_at_or_below_the_floor(p0):
+    with pytest.raises(DegenerateBaselineError, match="floor"):
+        ResponseMap(grid=BasisGrid(size=2), depths=(np.pi / 2,), pr=np.full((2, 1), 0.4),
+                    p=np.full((2, 1), 0.2), p0=p0)
 
 
 def test_response_matrix_shape_and_content():
