@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qquench import load_reconstruction, load_response_map, load_sweep_fidelity
+from qquench import load_reconstruction, load_response_map, load_sweep_fidelity, load_waveform
 from qquench.cli import _CONFIG_TYPES, _build_parser, main, parse_theta
 
 import support
@@ -276,6 +276,51 @@ def test_prepare_untagged_waveform_exits_12(tmp_path, wave_csv, capsys):
     support.edit_json(wave_json, "format", None)
     assert run("prepare", "--input", str(wave_json), "--out", str(tmp_path / "w.csv")) == 12
     assert "missing or null field 'format'" in capsys.readouterr().err
+
+
+# The untagged per-sample and per-bin layouts that version 1 JSON files used.
+# No reader takes them any more: a damaged one is refused for its missing tag
+# before any of its other fields is read.
+
+def _write_v1_map(path, rmap):
+    records = [{"bin": n, "P0": rmap.p0,
+                "entries": [{"theta": t, "Pr": pr_nd, "p": p_nd}
+                            for t, pr_nd, p_nd in zip(rmap.depths, pr_n, p_n)]}
+               for n, (pr_n, p_n) in enumerate(zip(rmap.pr.tolist(), rmap.p.tolist()))]
+    path.write_text(json.dumps({"bin_width": rmap.grid.bin_width, "origin": rmap.grid.origin,
+                                "depths": list(rmap.depths), "records": records}))
+
+
+def _write_v1_waveform(path, state):
+    samples = [{"t": float(t), "amp": float(abs(a)), "phase": float(np.angle(a))}
+               for t, a in zip(state.grid.times(), state.amplitudes)]
+    path.write_text(json.dumps({"bin_width": state.grid.bin_width,
+                                "origin": state.grid.origin, "samples": samples}))
+
+
+@pytest.mark.parametrize("field,value", [("records", "missing"), ("records.3.P0", None)])
+def test_reconstruct_v1_map_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
+                                                         field, value):
+    map_path = tmp_path / "map.json"
+    assert run("scan", "--input", str(wave_csv), "--sigma", "0", "--out", str(map_path)) == 0
+    _write_v1_map(map_path, load_response_map(map_path))
+    support.edit_json(map_path, field, value)
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 12
+    assert "missing or null field 'format'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [("samples.0.amp", "missing"), ("origin", None)])
+def test_prepare_v1_waveform_with_a_missing_or_null_field(tmp_path, wave_csv, capsys,
+                                                          field, value):
+    wave_json = tmp_path / "wave.json"
+    _write_v1_waveform(wave_json, load_waveform(wave_csv))
+    support.edit_json(wave_json, field, value)
+    out = tmp_path / "w.csv"
+    assert run("prepare", "--input", str(wave_json), "--out", str(out)) == 12
+    assert "missing or null field 'format'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
