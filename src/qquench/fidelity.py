@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .quench import NoiseModel, measure_seeds, scan
+from .quench import NoiseModel, _true_response, measure_seeds
 from .reconstruct import (
     NODE_TOL,
     _one_minus_cos,
@@ -34,6 +34,10 @@ from .states import BasisGrid, PostSelector, WavefunctionState
 # multiple of the per-bin noise scale (2 * sigma_rel / sqrt(trials); the
 # factor 2 because a response factor combines two measured probabilities).
 RESOLVE_SNR_FACTOR = 10.0
+
+# A sweep's (depth, seed) rows run in blocks of at most this many bins, so its
+# memory stays bounded; at N=2000, 2**16 ran slower and 2**18 peaked higher.
+_SWEEP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -145,21 +149,26 @@ def score_reconstruction(result, state: WavefunctionState,
 
     A block reconstruction (fields of shape (..., N)) is scored row by row
     in one call: the scores are then arrays over the leading axes, equal
-    bit for bit to scoring each row on its own.
+    bit for bit to scoring each row on its own, whatever the memory layout
+    of its fields.
     """
+    # a row sum runs pairwise only along the innermost axis
+    psi, amp_rec, ok, nodes, raw_re, raw_im = (
+        np.ascontiguousarray(getattr(result, name))
+        for name in ("psi", "amplitude_env", "branch_ok", "nodes", "raw_re", "raw_im"))
     psi_in = np.asarray(state.amplitudes, dtype=np.complex128)
-    overall = fidelity_overall(result.psi, psi_in)
-    psi_rec = _rotate_to_real(result.psi, _inner(psi_in, result.psi))
+    overall = fidelity_overall(psi, psi_in)
+    psi_rec = _rotate_to_real(psi, _inner(psi_in, psi))
 
     amp_in = np.abs(psi_in)
-    valid = result.branch_ok & ~result.nodes & (amp_in >= NODE_TOL)
+    valid = ok & ~nodes & (amp_in >= NODE_TOL)
     floor = resolution_floor(noise)
     if floor > 0.0:
-        valid &= np.hypot(result.raw_re, result.raw_im) >= floor
+        valid &= np.hypot(raw_re, raw_im) >= floor
 
     phase = _envelope_correlation(phase_envelope(psi_rec), phase_envelope(psi_in),
                                   degenerate_by_cosine=True, valid=valid)
-    amplitude = _envelope_correlation(result.amplitude_env, amp_in,
+    amplitude = _envelope_correlation(amp_rec, amp_in,
                                       degenerate_by_cosine=False, valid=valid)
     return FidelityScores(f_w=overall, f_p=phase, f_a=amplitude, valid_bins=valid)
 
@@ -174,6 +183,8 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     overlaps unless it is the uniform one. With noise enabled at least 2
     seeds are required for the sample standard deviation to exist; noiseless
     sweeps are deterministic and computed once per depth with zero spread.
+    A row is one (depth, seed) scan of the +/-theta pair; rows run in depth order,
+    in blocks of at most ``_SWEEP_CELLS`` bins measured and scored as one.
     """
     depth_arr = np.asarray(depths, dtype=np.float64)
     if depth_arr.ndim != 1 or depth_arr.size == 0:
@@ -187,37 +198,34 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     if not noise.noiseless and n_seeds < 2:
         raise ValueError("noisy sweeps need n_seeds >= 2 for a spread estimate")
 
-    n_depths = depth_arr.size
-    fw = np.empty((n_depths, n_seeds))
-    fp = np.empty((n_depths, n_seeds))
-    fa = np.empty((n_depths, n_seeds))
-    overlaps = None if selector.label == "uniform" else selector.overlaps
+    n_depths, n_bins = depth_arr.size, state.grid.size
+    pairs = np.stack([depth_arr, -depth_arr], axis=-1)
+    # one call for all depths, as a column depends on its own depth alone
+    _, p0_true, pr_true = _true_response(state, selector, pairs.ravel())
+    magnitudes = np.abs(1.0 - pr_true[:, 0::2] / p0_true)  # the noiseless +theta map
+    # C order per depth: numpy adds a row pairwise only along the innermost axis
+    pr_pairs = np.ascontiguousarray(pr_true.reshape(n_bins, n_depths, 2).transpose(1, 0, 2))
 
-    for d, theta in enumerate(depth_arr.tolist()):
-        # Seed s scans with seed derive_key(seed, float_tag(theta), s). All
-        # seeds are measured, inverted, finished and scored as one block.
-        if noise.noiseless:
-            seeds = [noise.seed]
-        else:
-            seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(n_seeds))
-        pair = (theta, -theta)
-        _, _, p, _ = measure_seeds(state, selector, pair, noise, seeds)
-        re, im, ok = invert_pair(pair, p)
+    # row (d, s) scans with seed derive_key(seed, float_tag(theta_d), s); a
+    # noiseless scan does not depend on its seed, so it runs one row per depth
+    per_depth = 1 if noise.noiseless else n_seeds
+    row_depth = np.repeat(np.arange(n_depths), per_depth)
+    seeds = rng.derive_keys(noise.seed, depth_arr.view(np.uint64)[:, None],
+                            np.arange(per_depth)).ravel()
+    overlaps = None if selector.label == "uniform" else selector.overlaps
+    fw, fp, fa = (np.empty(row_depth.size) for _ in range(3))
+    step = max(1, _SWEEP_CELLS // n_bins)
+    for a in range(0, row_depth.size, step):
+        rows = row_depth[a:a + step]
+        _, _, p, _ = measure_seeds(selector, p0_true, pr_pairs[rows], pairs[rows], noise,
+                                   seeds[a:a + step])
+        re, im, ok = invert_pair(pairs[rows], p)
         scores = score_reconstruction(
             reconstruct_inverted(state.grid, re, im, ok, overlaps), state, noise)
-        fw[d], fp[d], fa[d] = scores.f_w, scores.f_p, scores.f_a
-
-    # Each column of a noiseless scan depends only on its own depth, so one
-    # all-depth scan gives the same map as one scan per depth.
-    quiet = NoiseModel(relative_sigma=0.0, seed=noise.seed, trials=1)
-    magnitudes = np.abs(scan(state, selector, depth_arr, quiet).p)
-
-    if noise.noiseless:
-        zeros = np.zeros(n_depths)
-        std = (zeros, zeros.copy(), zeros.copy())
-    else:
-        std = (fw.std(axis=1, ddof=1), fp.std(axis=1, ddof=1),
-               fa.std(axis=1, ddof=1))
+        fw[a:a + step], fp[a:a + step], fa[a:a + step] = scores.f_w, scores.f_p, scores.f_a
+    fw, fp, fa = (np.repeat(x.reshape(n_depths, per_depth), n_seeds // per_depth, axis=1)
+                  for x in (fw, fp, fa))
+    std = [np.zeros(n_depths) if noise.noiseless else x.std(axis=1, ddof=1) for x in (fw, fp, fa)]
     return SweepResult(
         grid=state.grid,
         depths=depth_arr.copy(),

@@ -33,6 +33,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -268,22 +269,30 @@ def _field(path, payload: dict, name: str):
 
 
 def _exact(path, name: str, values, kind):
-    """``values`` (one JSON value or a list of them) if each is a JSON ``kind``
-    (int or bool): 3.7 is no integer, and "false" or 0.5 no boolean."""
-    for value in values if isinstance(values, list) else [values]:
-        if type(value) is not kind:
-            if isinstance(value, float):  # NaN or Infinity is non-finite input
-                _finite(path, name, value)
-            raise ValueError(f"{path}: field {name!r} must hold JSON {kind.__name__}s, "
-                             f"got {value!r}")
+    """``values`` (one JSON value, a list, or a list of lists) if each value
+    in it is a JSON ``kind``: 3.7 is no int, "false" or 0.5 no bool, and a
+    bool, a string or a null no float. Other nestings fail the shape check."""
+    rows = values if isinstance(values, list) else [values]
+    nested = bool(rows) and type(rows[0]) is list  # an N x D column
+    try:
+        bad = set(map(type, chain.from_iterable(rows) if nested else rows))
+    except TypeError:  # a number among the rows: left to the shape check
+        return values
+    bad -= ({int, float} if kind is float else {kind}) | {list}
+    if bad:
+        value = next(v for v in (chain.from_iterable(rows) if nested else rows) if type(v) in bad)
+        if isinstance(value, float):  # NaN or Infinity is non-finite input
+            _finite(path, name, value)
+        raise ValueError(f"{path}: field {name!r} must hold JSON "
+                         f"{'number' if kind is float else kind.__name__}s, got {value!r}")
     return values
 
 
 def _number(path, payload: dict, name: str, kind=float):
-    """``payload[name]`` as a ``kind``; a float must be finite, an int a JSON integer."""
-    value = _field(path, payload, name)
+    """``payload[name]`` as a ``kind`` (see :func:`_exact`); a float must be finite."""
+    value = _exact(path, name, _field(path, payload, name), kind)
     if kind is not float:
-        return _exact(path, name, value, kind)
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -298,12 +307,10 @@ def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
     count seen so far, raises ``ValueError``; an axis seen first is
     recorded in ``sizes``.
     """
-    values = _field(path, payload, col.key)
-    if col.kind is not float:
-        _exact(path, col.key, values, col.kind)
+    values = _exact(path, col.key, _field(path, payload, col.key), col.kind)
     try:
         values = np.array(values, dtype=col.kind)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: column {col.key!r} is not an array of numbers ({exc})") from None
     if values.ndim != len(col.axis) or any(sizes.setdefault(axis, got) != got
                                            for axis, got in zip(col.axis, values.shape)):

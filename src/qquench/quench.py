@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, rng
-from .errors import DegenerateBaselineError, DimensionMismatchError
+from .errors import DegenerateBaselineError, DimensionMismatchError, NonFiniteInputError
 from .states import BasisGrid, PostSelector, WavefunctionState
 
 # Noiseless baseline below this is treated as an orthogonal post-selection.
@@ -84,6 +84,9 @@ class ResponseMap:
                 raise ValueError(f"{name} has shape {arr.shape}, (bins, depths) is {shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name in ("depths", "pr", "p"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteInputError(f"response map {name} holds NaN or Infinity")
         object.__setattr__(self, "p0", float(self.p0))
         if not self.p0 > BASELINE_FLOOR:
             raise DegenerateBaselineError(f"P0={self.p0:.3e} at or below floor {BASELINE_FLOOR:.0e}")
@@ -102,65 +105,73 @@ class ResponseMap:
         return self.pr.copy()
 
 
-def _sum_rule_baseline(pr, thetas):
+def _per_depth(thetas, *fns):
+    """Each ``math`` function in ``fns`` at every entry of ``thetas``, evaluated
+    once per distinct depth: a numpy ufunc could differ from libm by an ulp."""
+    values = sorted(set(np.ravel(thetas).tolist()))
+    index = np.array(values).searchsorted(thetas)
+    return tuple(np.array([fn(t) for t in values])[index] for fn in fns)
+
+
+def _sum_rule_baseline(pr, thetas, direct):
     """Each row's baseline from the sum rule of a flat selector (README,
-    "Baseline from the sum rule"), or None where one direct read is the
+    "Baseline from the sum rule"), or its ``direct`` read where that is the
     better estimate: P0 = (sum of all reads - sum_d h_d / N) / sum_d (N - h_d)
-    with h = 2 (1 - cos theta), for ``pr`` of shape (S, N, D)."""
-    n = pr.shape[-2]
-    order = sorted(range(len(thetas)), key=thetas.__getitem__)
-    h = [2.0 * (1.0 - math.cos(thetas[d])) for d in order]
-    weight = sum(n - h_d for h_d in h)
-    if weight <= math.sqrt(n * len(h)):
-        return None
-    # depth sums added in order of the depth values: reordering changes no bit
-    total = sum(pr[..., d].sum(axis=-1) for d in order)
-    return (total - sum(h) / n) / weight
+    with h = 2 (1 - cos theta), for ``pr`` of shape (S, N, D) and each row's
+    depths ``thetas`` (S, D). The direct read stays where sum_d (N - h_d) <= sqrt(N D)."""
+    n, n_depths = pr.shape[-2:]
+    # a row's depth sums are added in order of its depth values: reordering changes no bit
+    order = np.argsort(thetas, axis=-1, kind="stable")
+    h = 2.0 * (1.0 - _per_depth(np.sort(thetas, axis=-1), math.cos)[0].T)
+    sums = np.stack([pr[..., d].sum(axis=-1) for d in range(n_depths)])
+    total = sum(sums[order.T, np.arange(len(order))])
+    weight = sum(n - h)
+    return np.divide(total - sum(h) / n, weight, out=np.array(direct, dtype=np.float64),
+                     where=weight > math.sqrt(n * n_depths))
 
 
-def measure_seeds(state: WavefunctionState, selector: PostSelector, depths,
-                  noise: NoiseModel, seeds):
-    """One scan per entry of ``seeds``, measured as one block.
-
-    Returns the baselines ``p0`` (S,), probabilities ``pr`` and response
-    factors ``p`` (S, n_bins, n_depths), and the direct baseline reads
-    (S,). Row ``s`` holds the bits a scan with ``noise.seed = seeds[s]``
-    measures, because a draw depends only on (seed, bin, depth, trial),
-    never on evaluation order. A noisy ``p0`` comes from the sum rule where
-    :func:`_sum_rule_baseline` gives one, else from the direct read.
-    """
+def _true_response(state: WavefunctionState, selector: PostSelector, depths):
+    """A scan's depths, exact baseline P0 and (n_bins, n_depths) Pr; raises for bad inputs."""
     if state.grid != selector.grid:
         raise DimensionMismatchError(f"grids differ: {state.grid} vs {selector.grid}")
     thetas = np.asarray(depths, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("need at least one quench depth")
-    theta_list = thetas.tolist()
-    for theta in theta_list:
+    for theta in thetas.tolist():
         if not math.isfinite(theta):
             raise ValueError(f"quench depth must be finite, got {theta}")
         if theta == 0.0:
             raise ValueError("depth 0 is the baseline; scan depths must be nonzero")
-
-    p0_true, pr_true = _kernels.true_probabilities(
-        state.amplitudes, selector.overlaps, thetas
-    )
+    p0_true, pr_true = _kernels.true_probabilities(state.amplitudes, selector.overlaps, thetas)
     if p0_true <= BASELINE_FLOOR:
         raise DegenerateBaselineError(
             f"post-selector {selector.label!r} is (nearly) orthogonal to the state: "
             f"P0={p0_true:.3e} at or below floor {BASELINE_FLOOR:.0e}"
         )
+    return thetas, p0_true, pr_true
 
+
+def measure_seeds(selector: PostSelector, p0_true: float, pr_true, thetas,
+                  noise: NoiseModel, seeds):
+    """Measure one scan per row, as one block: row ``s`` reads the exact
+    ``pr_true[s]`` (n_bins, n_depths) of its depths ``thetas[s]`` with seed ``seeds[s]``.
+
+    Returns the baselines ``p0`` (S,), probabilities ``pr`` and response
+    factors ``p`` (S, n_bins, n_depths), and the direct baseline reads (S,).
+    A row holds the bits of a scan with its own seed, as a draw depends only
+    on (seed, bin, depth, trial). A noisy ``p0`` is :func:`_sum_rule_baseline`'s.
+    """
     p0 = p0_read = np.full(len(seeds), p0_true)
-    pr = np.broadcast_to(pr_true, p0.shape + pr_true.shape)
+    pr = pr_true
     if not noise.noiseless:
         sigma_abs = noise.relative_sigma * p0_true
         # stream_key(seed, BASELINE_BIN, 0.0) of every seed
         baseline_keys = rng.derive_keys(seeds, rng.BASELINE_BIN + 1, rng.float_tag(0.0))
         p0 = p0_read = _kernels.noisy_mean_matrix(p0, sigma_abs, noise.trials, baseline_keys)
-        keys = rng.key_matrix(seeds, state.grid.size, thetas)
-        pr = _kernels.noisy_mean_matrix(pr, sigma_abs, noise.trials, keys)
-        estimate = _sum_rule_baseline(pr, theta_list) if selector.flat else None
-        p0 = p0_read if estimate is None else estimate
+        keys = rng.key_matrix(seeds, pr_true.shape[-2], thetas)
+        pr = _kernels.noisy_mean_matrix(pr_true, sigma_abs, noise.trials, keys)
+        if selector.flat:
+            p0 = _sum_rule_baseline(pr, thetas, p0_read)
 
     if np.any(p0 <= BASELINE_FLOOR):
         raise DegenerateBaselineError(
@@ -182,10 +193,12 @@ def scan(
     p = 1 - Pr/P0 over one baseline P0 (see :func:`measure_seeds`); a noisy
     map keeps the direct baseline read in ``meta["p0_direct"]``. Noise draws are counter-indexed by
     (seed, bin, depth, trial), so the scan is reproducible. This is
-    :func:`measure_seeds` for the one seed ``noise.seed``.
+    :func:`measure_seeds` for one row, with the seed ``noise.seed``.
     """
     depths = tuple(float(t) for t in depths)
-    p0, pr, p, p0_read = measure_seeds(state, selector, depths, noise, [noise.seed])
+    thetas, p0_true, pr_true = _true_response(state, selector, depths)
+    p0, pr, p, p0_read = measure_seeds(selector, p0_true, pr_true[None], thetas[None], noise,
+                                       [noise.seed])
     meta = {"selector": selector.label, "seed": noise.seed,
             "sigma": float(noise.relative_sigma), "trials": int(noise.trials)}
     if not noise.noiseless:

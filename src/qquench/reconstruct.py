@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteDepthsError, SingularDepthError
-from .quench import ResponseMap
+from .quench import ResponseMap, _per_depth
 from .states import BasisGrid
 
 # Local radicand tolerance: values this far below zero are attributed to
@@ -92,16 +92,12 @@ def invert_general(p_plus, p_minus, theta):
     branch with Re[w] <= 1/2. At theta = pi the antisymmetric channel
     vanishes identically (sin(pi) = 0) and the imaginary part is reported
     as 0. Depths with 1 - cos(theta) below SINGULAR_TOL are rejected.
+    ``theta`` may also be an array that broadcasts against the responses.
     """
-    theta = float(theta)
-    one_minus_cos = _one_minus_cos(theta)
+    one_minus_cos, sin_t = _per_depth(theta, _one_minus_cos, math.sin)
     pp = np.asarray(p_plus, dtype=np.float64)
     pm = np.asarray(p_minus, dtype=np.float64)
-    sin_t = math.sin(theta)
-    if abs(sin_t) < SINGULAR_TOL:
-        im_w = np.zeros(np.broadcast(pp, pm).shape)
-    else:
-        im_w = (pp - pm) / (4.0 * sin_t)
+    im_w = np.where(np.abs(sin_t) < SINGULAR_TOL, 0.0, (pp - pm) / (4.0 * sin_t))
     s = (pp + pm) / (4.0 * one_minus_cos)
     radicand = 1.0 - 4.0 * (s + im_w**2)
     re_w = 0.5 * (1.0 - np.sqrt(np.maximum(radicand, 0.0)))
@@ -134,23 +130,25 @@ def phase_envelope(psi) -> np.ndarray:
 def invert_pair(depths, p):
     """Invert the response factors ``p[..., d]`` of a +/-theta ``depths`` pair.
 
-    Returns ``(re, im, branch_ok)`` over the leading axes of ``p``, from
-    :func:`invert_general` at theta = |depth|. Every operation is
-    elementwise, so a block of scans inverts to the same bits as each scan
-    on its own.
+    ``depths`` is one pair for every row of ``p``, or one pair per row
+    (shape ``p.shape[:-2] + (2,)``). Returns ``(re, im, branch_ok)`` over the
+    leading axes of ``p``, from :func:`invert_general` at each row's
+    theta = |depth|. Every operation is elementwise, so a block of scans
+    inverts to the same bits as each scan on its own.
     """
-    if len(depths) != 2:
+    depths = np.asarray(depths, dtype=np.float64)
+    if depths.shape[-1:] != (2,):
         raise IncompleteDepthsError(
-            f"reconstruction needs exactly a +/-theta depth pair, got {list(depths)}"
-        )
-    a, b = depths
-    if abs(a + b) > 1e-12 or a == b:
-        raise IncompleteDepthsError(
-            f"depths {list(depths)} are not a +/-theta pair"
-        )
-    plus_idx = 0 if a > 0 else 1
+            f"reconstruction needs exactly a +/-theta depth pair, got {depths.tolist()}")
+    a, b = depths[..., 0], depths[..., 1]
+    if ((np.abs(a + b) > 1e-12) | (a == b)).any():
+        raise IncompleteDepthsError(f"depths {depths.tolist()} are not a +/-theta pair")
     p = np.asarray(p, dtype=np.float64)
-    return invert_general(p[..., plus_idx], p[..., 1 - plus_idx], abs(a))
+    pp, pm = p[..., 0], p[..., 1]
+    if not (a > 0).all():  # a row that lists -theta first
+        plus = (a > 0)[..., None]
+        pp, pm = np.where(plus, pp, pm), np.where(plus, pm, pp)
+    return invert_general(pp, pm, np.abs(a)[..., None])
 
 
 def _detect_folds(raw: np.ndarray, ok: np.ndarray) -> None:
@@ -185,8 +183,10 @@ def reconstruct_inverted(grid: BasisGrid, re, im, branch_ok,
     works along the bin axis alone, so a block gives the same bits as each
     of its rows on its own.
     """
+    # a row sum runs pairwise only along the innermost axis
+    re, im = np.ascontiguousarray(re), np.ascontiguousarray(im)
     raw = re + 1j * im
-    ok = np.array(branch_ok, dtype=bool, copy=True)
+    ok = np.array(branch_ok, dtype=bool, copy=True, order="C")
     _detect_folds(raw, ok)
 
     scaled = raw if overlaps is None else raw / np.asarray(overlaps, dtype=np.complex128)

@@ -111,14 +111,15 @@ def derive_keys(seed, *tags) -> np.ndarray:
 
 
 def key_matrix(seed, n_bins: int, thetas) -> np.ndarray:
-    """uint64 stream keys of shape ``np.shape(seed) + (n_bins, len(thetas))``.
+    """uint64 stream keys of shape ``np.shape(seed) + (n_bins, n_depths)``.
 
-    ``seed`` is one seed or an array of them; entry ``[..., n, d]`` equals
-    ``stream_key(seed, n, thetas[d])`` for the matching seed.
+    ``seed`` is one seed or an array of them; ``thetas`` is one list of
+    depths, or one row of them per seed. Entry ``[..., n, d]`` equals
+    ``stream_key(seed, n, theta)`` for the matching seed and its depth ``d``.
     """
     seeds = _u64(seed).reshape(np.shape(seed) + (1, 1))
     bins = np.arange(1, n_bins + 1, dtype=np.uint64)[:, None]
-    tags = np.asarray(thetas, dtype=np.float64).view(np.uint64)
+    tags = np.asarray(thetas, dtype=np.float64).view(np.uint64)[..., None, :]
     return derive_keys(seeds, bins, tags)
 
 

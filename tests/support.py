@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random states, the independent
 direct-expansion oracle the pipeline is checked against, the per-bin quench
-and measurement formulas, the per-scan
+and measurement formulas, the per-depth sweep, the per-scan
 finishing and scoring formulas the block code is checked against, and the
 version 1 and version 2 file writers the file formats are checked against."""
 
@@ -24,11 +24,20 @@ from qquench import (
     amplitude_nodes,
     make_state,
     phase_envelope,
+    scan,
+    score_reconstruction,
 )
 from qquench import _kernels, rng
 from qquench.fidelity import resolution_floor
-from qquench.quench import BASELINE_FLOOR
-from qquench.reconstruct import FOLD_ATTR_ABS, FOLD_ATTR_REL, FOLD_SUM_TOL, NODE_TOL
+from qquench.quench import BASELINE_FLOOR, _true_response, measure_seeds
+from qquench.reconstruct import (
+    FOLD_ATTR_ABS,
+    FOLD_ATTR_REL,
+    FOLD_SUM_TOL,
+    NODE_TOL,
+    invert_pair,
+    reconstruct_inverted,
+)
 
 
 def random_state(grid: BasisGrid, rng, avoid_nodes: bool = False):
@@ -161,6 +170,47 @@ def mean_of_one_cell(value, sigma_abs, trials, key) -> float:
     cell = np.array([[value]], dtype=np.float64)
     keys = np.array([[key]], dtype=np.uint64)
     return float(_kernels.noisy_mean_matrix(cell, sigma_abs, trials, keys)[0, 0])
+
+
+def measure_block(state, selector, depths, noise, seeds):
+    """:func:`quench.measure_seeds` with every row of the block measuring all
+    of ``depths``, one row per entry of ``seeds``."""
+    thetas, p0_true, pr_true = _true_response(state, selector, depths)
+    rows = len(seeds)
+    return measure_seeds(selector, p0_true, np.broadcast_to(pr_true, (rows,) + pr_true.shape),
+                         np.broadcast_to(thetas, (rows, thetas.size)), noise, seeds)
+
+
+def reference_depth_sweep(state, selector, depths, noise, n_seeds=32):
+    """:func:`depth_sweep` as one block per depth: one measure, invert, finish
+    and score call per depth, and a noiseless scan for the magnitudes. Its
+    bits are the sweep's."""
+    depth_arr = np.asarray(depths, dtype=np.float64)
+    n_depths = depth_arr.size
+    fw, fp, fa = (np.empty((n_depths, n_seeds)) for _ in range(3))
+    overlaps = None if selector.label == "uniform" else selector.overlaps
+    for d, theta in enumerate(depth_arr.tolist()):
+        if noise.noiseless:
+            seeds = [noise.seed]
+        else:
+            seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(n_seeds))
+        pair = (theta, -theta)
+        _, _, p, _ = measure_block(state, selector, pair, noise, seeds)
+        re, im, ok = invert_pair(pair, p)
+        scores = score_reconstruction(
+            reconstruct_inverted(state.grid, re, im, ok, overlaps), state, noise)
+        fw[d], fp[d], fa[d] = scores.f_w, scores.f_p, scores.f_a
+    quiet = NoiseModel(relative_sigma=0.0, seed=noise.seed, trials=1)
+    magnitudes = np.abs(scan(state, selector, depth_arr, quiet).p)
+    if noise.noiseless:
+        std = [np.zeros(n_depths)] * 3
+    else:
+        std = [x.std(axis=1, ddof=1) for x in (fw, fp, fa)]
+    return {"depths": depth_arr, "seed_count": n_seeds,
+            "fw_mean": fw.mean(axis=1), "fw_std": std[0],
+            "fp_mean": fp.mean(axis=1), "fp_std": std[1],
+            "fa_mean": fa.mean(axis=1), "fa_std": std[2],
+            "response_magnitudes": magnitudes}
 
 
 # The per-scan finishing and scoring formulas as they stood before both became

@@ -1,10 +1,16 @@
-"""Finishing and scoring over (S, N) blocks of scans.
+"""Finishing and scoring over (S, N) blocks of scans, and sweeps run as
+blocks of (depth, seed) rows.
 
 ``reconstruct_inverted`` and ``score_reconstruction`` take one scan or a
 block of scans through the same code. A block must give every row the bits
-that row gets on its own, and both must stay within a few ulp of the
-per-scan formulas they replaced (``support.reference_*``).
+that row gets on its own, whatever its memory layout, and both must stay
+within a few ulp of the per-scan formulas they replaced
+(``support.reference_*``). ``depth_sweep`` must give the bits of one block
+per depth (``support.reference_depth_sweep``) for any block size.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +22,18 @@ from qquench import (
     BasisGrid,
     NoiseModel,
     builtin_waveform,
+    depth_sweep,
     dft_post_selector,
     make_state,
     score_reconstruction,
     uniform_post_selector,
 )
-from qquench import rng
-from qquench.quench import measure_seeds
+from qquench import fidelity, rng
 from qquench.reconstruct import invert_pair, reconstruct_inverted
 from support import (
+    measure_block,
     random_state,
+    reference_depth_sweep,
     reference_reconstruct_inverted,
     reference_score,
     scaled_amplitudes,
@@ -177,7 +185,7 @@ def test_block_matches_per_scan_reference(waveform, selector):
         noise = NoiseModel(relative_sigma=sigma, seed=11, trials=trials)
         for theta in (np.pi / 8, 3 * np.pi / 8, np.pi / 2, 2.5):
             seeds = rng.derive_keys(noise.seed, rng.float_tag(theta), np.arange(8))
-            _, _, p, _ = measure_seeds(state, sel, (theta, -theta), noise, seeds)
+            _, _, p, _ = measure_block(state, sel, (theta, -theta), noise, seeds)
             re, im, ok = invert_pair((theta, -theta), p)
             for s in range(len(seeds)):
                 row = reconstruct_inverted(grid, re[s], im[s], ok[s], overlaps)
@@ -196,3 +204,78 @@ def test_special_rows_match_per_scan_reference(selector):
             rec = reconstruct_inverted(grid, re, im, ok, overlaps)
             scores = score_reconstruction(rec, state, noise)
             _assert_matches_reference(rec, scores, grid, re, im, ok, overlaps, state, noise)
+
+
+def _layouts(x):
+    """``x`` (S, N) in C order, in Fortran order, and as the transposed view
+    of a C-ordered (N, S) array."""
+    return {"C": x, "F": np.asfortranarray(x), "T": np.ascontiguousarray(x.T).T}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=2, max_size=8),
+       n=st.integers(8, 40), selector=st.sampled_from(["uniform", "dft:3"]),
+       noise=st.sampled_from(sorted(NOISES)), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["scan"] * 8, n=20, selector="uniform", noise="noisy", seed=3)
+def test_block_bits_do_not_depend_on_memory_layout(kinds, n, selector, noise, seed):
+    # numpy adds a row pairwise only along the innermost axis; along any
+    # other it adds in sequence, which changes the last bits
+    gen = np.random.default_rng(seed)
+    grid, sel, state, overlaps = _setup(n, selector, "random", gen)
+    re, im, ok = _block(kinds, state, sel, gen)
+    noise = NOISES[noise]
+    want = reconstruct_inverted(grid, re, im, ok, overlaps)
+    want_scores = score_reconstruction(want, state, noise)
+    for layout, (re_l, im_l, ok_l) in zip("CFT", zip(*map(lambda x: _layouts(x).values(),
+                                                         (re, im, ok)))):
+        got = reconstruct_inverted(grid, re_l, im_l, ok_l, overlaps)
+        for field in REC_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (layout, field)
+        # the scores of a result whose own fields are not C-ordered
+        strided = type(got)(grid=grid, **{field: _layouts(getattr(got, field))[layout]
+                                          for field in REC_FIELDS})
+        for rec in (got, strided):
+            scores = score_reconstruction(rec, state, noise)
+            for field in ("f_w", "f_p", "f_a", "valid_bins"):
+                assert np.array_equal(getattr(scores, field), getattr(want_scores, field)), \
+                    (layout, field)
+
+
+SWEEP_FIELDS = ("depths", "seed_count", "fw_mean", "fw_std", "fp_mean", "fp_std",
+                "fa_mean", "fa_std", "response_magnitudes")
+_sweep_depth = st.one_of(st.sampled_from([math.pi, math.pi / 2, 3 * math.pi / 8]),
+                         st.floats(0.05, 6.2))
+
+
+def _sweep_or_error(sweep, *args, **kwargs):
+    try:
+        return sweep(*args, **kwargs)
+    except Exception as exc:  # compared by type: both sides must raise alike
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 24), selector=st.sampled_from(["uniform", "dft:3"]),
+       depths=st.lists(_sweep_depth, min_size=1, max_size=4),
+       sigma=st.sampled_from([0.0, 0.002, 0.05, 1.0]), trials=st.sampled_from([1, 3]),
+       n_seeds=st.integers(2, 9), seed=st.integers(0, 2**64 - 1),
+       state_seed=st.integers(0, 2**32 - 1), cells=st.sampled_from([1, 7, 20, 47, 2**15]))
+@example(n=20, selector="uniform", depths=[math.pi / 2, math.pi], sigma=0.002, trials=1,
+         n_seeds=5, seed=4343, state_seed=1, cells=20)
+@example(n=20, selector="dft:3", depths=[math.pi / 16, math.pi / 2], sigma=0.0, trials=3,
+         n_seeds=3, seed=1, state_seed=2, cells=1)
+def test_block_sweep_equals_the_per_depth_sweep(n, selector, depths, sigma, trials, n_seeds,
+                                                seed, state_seed, cells):
+    grid = BasisGrid(size=n)
+    state = random_state(grid, np.random.default_rng(state_seed))
+    sel = uniform_post_selector(grid) if selector == "uniform" else dft_post_selector(grid, 3)
+    noise = NoiseModel(relative_sigma=sigma, seed=seed, trials=trials)
+    with mock.patch.object(fidelity, "_SWEEP_CELLS", cells):
+        got = _sweep_or_error(depth_sweep, state, sel, depths, noise, n_seeds=n_seeds)
+    want = _sweep_or_error(reference_depth_sweep, state, sel, depths, noise, n_seeds=n_seeds)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    for field in SWEEP_FIELDS:
+        assert np.array_equal(getattr(got, field), want[field]), field

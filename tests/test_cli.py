@@ -278,6 +278,63 @@ def test_prepare_untagged_waveform_exits_12(tmp_path, wave_csv, capsys):
     assert "missing or null field 'format'" in capsys.readouterr().err
 
 
+# A float field of a JSON artifact takes a JSON number only: an int or a
+# float, never a bool, a string or a null.
+
+@pytest.mark.parametrize("artifact,field,value", [
+    ("map", "bin_width", True),
+    ("map", "origin", "0"),
+    ("map", "p0", "0.56"),
+    ("map", "depths.0", True),
+    ("map", "pr.3.0", "0.5"),
+    ("map", "p.2.1", False),
+    ("map", "pr.0.1", None),
+    ("waveform", "bin_width", False),
+    ("waveform", "amp.3", "0.5"),
+    ("waveform", "phase.0", True),
+])
+def test_a_json_float_field_refuses_bools_strings_and_nulls(tmp_path, wave_csv, capsys,
+                                                            artifact, field, value):
+    if artifact == "map":
+        path, command = tmp_path / "map.json", "reconstruct"
+        assert run("scan", "--input", str(wave_csv), "--out", str(path)) == 0
+    else:
+        path, command = tmp_path / "wave.json", "prepare"
+        assert run("prepare", "--input", str(wave_csv), "--out", str(path)) == 0
+    support.edit_json(path, field, value)
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(path), "--out", str(out)) == 12
+    key = field.split(".")[0]
+    assert f"{path}: field {key!r} must hold JSON numbers, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_json_integer_too_large_for_a_float_exits_12(tmp_path, wave_csv, capsys):
+    path = tmp_path / "map.json"
+    assert run("scan", "--input", str(wave_csv), "--out", str(path)) == 0
+    support.edit_json(path, "pr.3.0", 10**400)
+    assert run("reconstruct", "--input", str(path), "--out", str(tmp_path / "rec.json")) == 12
+    assert "column 'pr' is not an array of numbers" in capsys.readouterr().err
+
+
+def test_readme_exit_code_table_matches_the_cli():
+    from qquench import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| ") and line.split("|")[1].strip().isdigit()]
+    table = {int(code): meaning.strip() for code, meaning in rows}
+    assert len(table) == len(rows)
+    documented = {cli.EXIT_OK: "success", cli.EXIT_USAGE: "usage error",
+                  cli.EXIT_IO: "file I/O failure", cli.EXIT_CONFIG: "invalid configuration value"}
+    for code, meaning in documented.items():
+        assert table.get(code) == meaning, code
+    codes = list(cli.EXIT_CODES.values())
+    assert len(set(codes)) == len(codes)
+    assert set(table) == set(codes) | set(documented)
+
+
 # The untagged per-sample and per-bin layouts that version 1 JSON files used.
 # No reader takes them any more: a damaged one is refused for its missing tag
 # before any of its other fields is read.

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -266,3 +271,32 @@ def test_depth_sweep_rejects_a_degenerate_measured_baseline():
     assert 0 < len(failing) < 32
     with pytest.raises(DegenerateBaselineError):
         depth_sweep(state, sel, (theta,), noise, n_seeds=32)
+
+
+def test_sweep_peak_rss_does_not_grow_with_seeds():
+    # 1,024 seeds x 5 depths at N = 2000: as one block the rows would take
+    # about 280 MB more; blocks of _SWEEP_CELLS bins keep the growth at a few MB
+    child = textwrap.dedent("""
+        import resource
+        from qquench import BasisGrid, NoiseModel, builtin_waveform, depth_sweep
+        from qquench import uniform_post_selector
+        from qquench.cli import DEFAULT_SWEEP_DEPTHS
+        state = builtin_waveform("gaussian_linear_chirp", BasisGrid(size=2000))
+        sel = uniform_post_selector(state.grid)
+        noise = NoiseModel(relative_sigma=0.002, seed=7, trials=1)
+        depth_sweep(state, sel, DEFAULT_SWEEP_DEPTHS, noise, n_seeds=2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        depth_sweep(state, sel, DEFAULT_SWEEP_DEPTHS, noise, n_seeds=1024)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * 1024)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rng.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    # A spawned process starts from the peak RSS of its spawner; a small
+    # relay in between gives a low start.
+    relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run([sys.executable, "-c", relay, sys.executable, "-c", child],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout)
+    assert growth < 16 * 2**20, f"peak RSS grew by {growth / 2**20:.1f} MB"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -728,10 +729,24 @@ def test_every_float_read_from_a_file_must_be_finite(tmp_path, pipeline, artifac
 
 
 def test_json_writer_refuses_nan(tmp_path, pipeline):
-    rmap = pipeline[1]
-    p = np.array(rmap.p)
-    p[2, 1] = np.nan
-    bad = ResponseMap(grid=rmap.grid, depths=rmap.depths, pr=rmap.pr, p=p, p0=rmap.p0)
+    # a response map cannot hold NaN (test_response_map_refuses_non_finite_arrays);
+    # a reconstruction can, and its writer refuses it
+    rec = pipeline[2]
+    raw = np.array(rec.raw_re)
+    raw[2] = np.nan
     with pytest.raises(ValueError, match="JSON"):
-        save_response_map(tmp_path / "map.json", bad)
+        save_reconstruction(tmp_path / "rec.json", dataclasses.replace(rec, raw_re=raw))
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["depths", "pr", "p"])
+def test_response_map_refuses_non_finite_arrays(pipeline, name, value):
+    rmap = pipeline[1]
+    fields = {"depths": list(rmap.depths), "pr": np.array(rmap.pr), "p": np.array(rmap.p)}
+    if name == "depths":
+        fields[name][1] = value
+    else:
+        fields[name][2, 1] = value
+    with pytest.raises(NonFiniteInputError, match=f"response map {name} holds NaN or Infinity"):
+        ResponseMap(grid=rmap.grid, p0=rmap.p0, **fields)

@@ -18,10 +18,11 @@ from qquench import (
     uniform_post_selector,
 )
 from qquench import _kernels
-from qquench.quench import BASELINE_FLOOR, _sum_rule_baseline, measure_seeds
+from qquench.quench import BASELINE_FLOOR, _sum_rule_baseline
 from support import (
     QuenchConfig,
     apply_quench,
+    measure_block,
     measure_with_noise,
     oracle_probabilities,
     projection_probability,
@@ -372,9 +373,9 @@ def test_sum_rule_baseline_is_exact_without_noise(n, seed, kind, phases, depths)
     p0, pr = _kernels.true_probabilities(state.amplitudes, sel.overlaps, np.array(depths))
     # a small P0 is the difference of sums of order 1/N: rounding, not the rule
     assume(n * p0 >= 1e-2)
-    estimate = _sum_rule_baseline(pr[None], depths)
-    assume(estimate is not None)
-    assert abs(estimate[0] - p0) <= 1e-12 * p0
+    estimate = _sum_rule_baseline(pr[None], np.array([depths]), [np.nan])[0]
+    assume(not np.isnan(estimate))  # NaN: the direct read stays
+    assert abs(estimate - p0) <= 1e-12 * p0
 
 
 @pytest.mark.parametrize("selector", ["uniform", "dft:3"])
@@ -383,7 +384,7 @@ def test_sum_rule_baseline_is_ten_times_tighter_at_200_bins(selector):
     state = builtin_waveform("gaussian_linear_chirp", grid)
     sel = uniform_post_selector(grid) if selector == "uniform" else dft_post_selector(grid, 3)
     noise = NoiseModel(relative_sigma=0.002, seed=11, trials=1)
-    p0, _, _, p0_read = measure_seeds(state, sel, (np.pi / 2, -np.pi / 2), noise,
+    p0, _, _, p0_read = measure_block(state, sel, (np.pi / 2, -np.pi / 2), noise,
                                       np.arange(256))
     assert np.std(p0) <= np.std(p0_read) / 10
 

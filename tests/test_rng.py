@@ -65,6 +65,12 @@ def test_key_matrix_equals_stream_key_oracle(seeds, n_bins, thetas):
     assert one.dtype == block.dtype == np.uint64
     assert np.array_equal(one, oracle[0])
     assert np.array_equal(block, oracle)
+    # one row of depths per seed: seed s quenches the depths rotated by s
+    rows = np.array([np.roll(np.asarray(thetas, dtype=np.float64), s) for s in range(len(seeds))])
+    per_row = rng.key_matrix(np.array(seeds, dtype=np.uint64), n_bins, rows)
+    assert per_row.shape == oracle.shape
+    for s in range(len(seeds)):
+        assert np.array_equal(per_row[s], np.roll(oracle[s], s, axis=-1))
 
 
 @settings(deadline=None)
