@@ -2,7 +2,7 @@
 
 Every format exists as CSV (flat, plot-friendly) and JSON (self-describing).
 A JSON file is one object on one line whose ``format`` tag names the
-artifact and the layout version, e.g. ``"qquench.response_map/2"``; every
+artifact and the layout version, e.g. ``"qquench.response_map/3"``; every
 array in it is a column (a list, or an N x D list of lists). A JSON file
 without that tag is rejected. CSV floats are written with 17 significant
 digits and JSON floats as their shortest repr, so a write-then-read cycle
@@ -66,12 +66,13 @@ class _Column(NamedTuple):
 
 class _Artifact(NamedTuple):
     """An artifact's JSON tag, CSV column order, columns in JSON key order,
-    and whether its JSON records the grid (``bin_width``, ``origin``)."""
+    whether its JSON records the grid (``bin_width``, ``origin``), and version."""
 
     tag: str
     header: tuple
     columns: tuple
     grid: bool = True
+    version: int = 2
 
 
 _BIN = _Column("bin", "bin", "N", int)  # a CSV's bin index
@@ -83,7 +84,9 @@ _WAVEFORM = _Artifact("waveform", ("t", "amplitude", "phase"), (
     _Column("phase", "phase", "N", float)))
 _RESPONSE_MAP = _Artifact("response_map", ("bin", "theta", "P0", "Pr", "p"), (
     _DEPTHS, _Column("p0", "P0", "", float), _Column("pr", "Pr", "ND", float),
-    _Column("p", "p", "ND", float)))
+    _Column("p", "p", "ND", float, json=False)), version=3)
+_RESPONSE_MAP_V2 = _RESPONSE_MAP._replace(version=2, columns=(  # still read; it stores p
+    *_RESPONSE_MAP.columns[:3], _Column("p", "p", "ND", float)))
 _RECONSTRUCTION = _Artifact(
     "reconstruction", ("bin", "t", "re", "im", "abs2", "phase", "branch_ok"), (
         _Column("t", "t", "N", float, json=False),
@@ -138,7 +141,7 @@ def resolve_format(path, fmt: str | None) -> str:
 
 
 def _format_tag(art: _Artifact) -> str:
-    return f"qquench.{art.tag}/2"
+    return f"qquench.{art.tag}/{art.version}"
 
 
 def _finite(path, name: str, values):
@@ -320,8 +323,8 @@ def _column(path, payload: dict, col: _Column, sizes: dict) -> np.ndarray:
     return _finite(path, col.key, values) if col.kind is float else values
 
 
-def _read_json(path, art: _Artifact):
-    """Load ``art``'s JSON, tagged as ``art``: ``(payload, columns by key)``."""
+def _read_json(path, art: _Artifact, *older: _Artifact):
+    """Load ``art``'s JSON, or an ``older`` layout's by its tag: ``(payload, columns by key)``."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -329,13 +332,14 @@ def _read_json(path, art: _Artifact):
     tag = payload.get("format")
     if tag is None:
         raise ValueError(f"{path}: missing or null field 'format' (untagged v1 files are not read)")
-    if tag != _format_tag(art):
+    layout = next((a for a in (art, *older) if tag == _format_tag(a)), None)
+    if layout is None:
         raise ValueError(f"{path}: unsupported format {tag!r}; "
                          f"a {art.tag} file is {_format_tag(art)!r}")
     sizes = {}
     return payload, {c.key: _column(path, payload, c, sizes) if c.axis
                      else _number(path, payload, c.key, c.kind)
-                     for c in art.columns if c.json}
+                     for c in layout.columns if c.json}
 
 
 def _json_grid(path, payload: dict, size: int) -> BasisGrid:
@@ -397,13 +401,16 @@ def load_response_map(path, fmt: str | None = None,
         cols = _read_csv(path, _RESPONSE_MAP)
         grid = BasisGrid(size=len(cols["pr"]), bin_width=bin_width, origin=origin)
     else:
-        payload, cols = _read_json(path, _RESPONSE_MAP)
+        payload, cols = _read_json(path, _RESPONSE_MAP, _RESPONSE_MAP_V2)
         grid = _json_grid(path, payload, len(cols["pr"]))
         meta = _field(path, payload, "meta")
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: meta must be a JSON object")
-    return ResponseMap(grid=grid, depths=cols["depths"], pr=cols["pr"], p=cols["p"],
-                       p0=cols["p0"], meta=meta)
+    rmap = ResponseMap(grid=grid, depths=cols["depths"], pr=cols["pr"], p0=cols["p0"],
+                       meta=meta)
+    if "p" in cols and cols["p"].tobytes() != rmap.p.tobytes():  # a CSV or /2 map stores p
+        raise ValueError(f"{path}: column 'p' differs from 1 - Pr/P0")
+    return rmap
 
 
 # -- reconstruction files ---------------------------------------------------

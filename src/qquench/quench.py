@@ -59,37 +59,36 @@ class NoiseModel:
 class ResponseMap:
     """A scan's measurements as (n_bins, n_depths) arrays over one baseline.
 
-    ``pr[n, d]`` is the measured probability after quenching bin ``n`` by
-    ``depths[d]``, ``p[n, d] = 1 - pr[n, d] / p0`` its response factor, and
-    ``p0`` the baseline that every bin shares. ``meta`` records how the map
-    was made: :func:`scan` fills in the selector label, seed, sigma and
-    trials, and for a noisy map ``p0_direct``, the direct baseline read;
-    a map loaded from JSON also holds the package version that wrote it.
-    It is empty by default.
+    ``pr[n, d]`` is the probability measured after quenching bin ``n`` by
+    ``depths[d]``, over the one baseline ``p0``; ``p = 1 - pr / p0`` is derived.
+    ``meta`` says how the map was made: :func:`scan` records the selector label,
+    seed, sigma, trials and, if noisy, ``p0_direct`` (the direct baseline
+    read); a map loaded from JSON also holds the version that wrote it.
     """
 
     grid: BasisGrid
     depths: tuple
     pr: np.ndarray
-    p: np.ndarray
     p0: float
     meta: dict = field(default_factory=dict)
+    p: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(float(t) for t in self.depths))
-        shape = (self.grid.size, len(self.depths))
-        for name in ("pr", "p"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, (bins, depths) is {shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("depths", "pr", "p"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        depths, p0 = tuple(float(t) for t in self.depths), float(self.p0)
+        pr = np.array(self.pr, dtype=np.float64, copy=True)
+        shape = (self.grid.size, len(depths))
+        if pr.shape != shape:
+            raise ValueError(f"pr has shape {pr.shape}, (bins, depths) is {shape}")
+        if not p0 > BASELINE_FLOOR:
+            raise DegenerateBaselineError(f"P0={p0:.3e} at or below floor {BASELINE_FLOOR:.0e}")
+        with np.errstate(over="ignore"):  # |pr/p0| may overflow, leaving p non-finite
+            p = 1.0 - pr / p0
+        pr.setflags(write=False)
+        p.setflags(write=False)
+        for name, value in (("depths", depths), ("pr", pr), ("p0", p0), ("p", p)):
+            if not np.all(np.isfinite(value)):
                 raise NonFiniteInputError(f"response map {name} holds NaN or Infinity")
-        object.__setattr__(self, "p0", float(self.p0))
-        if not self.p0 > BASELINE_FLOOR:
-            raise DegenerateBaselineError(f"P0={self.p0:.3e} at or below floor {BASELINE_FLOOR:.0e}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
@@ -187,20 +186,19 @@ def scan(
     depths,
     noise: NoiseModel,
 ) -> ResponseMap:
-    """Measure the response factor for every bin at every depth.
+    """Measure Pr for every bin at every depth, over one baseline P0.
 
-    Each (bin, depth) probability is measured and converted to
-    p = 1 - Pr/P0 over one baseline P0 (see :func:`measure_seeds`); a noisy
-    map keeps the direct baseline read in ``meta["p0_direct"]``. Noise draws are counter-indexed by
-    (seed, bin, depth, trial), so the scan is reproducible. This is
+    The map derives p = 1 - Pr/P0 from them; a noisy map keeps the direct
+    baseline read in ``meta["p0_direct"]``. Noise draws are counter-indexed
+    by (seed, bin, depth, trial), so the scan is reproducible. This is
     :func:`measure_seeds` for one row, with the seed ``noise.seed``.
     """
     depths = tuple(float(t) for t in depths)
     thetas, p0_true, pr_true = _true_response(state, selector, depths)
-    p0, pr, p, p0_read = measure_seeds(selector, p0_true, pr_true[None], thetas[None], noise,
+    p0, pr, _, p0_read = measure_seeds(selector, p0_true, pr_true[None], thetas[None], noise,
                                        [noise.seed])
     meta = {"selector": selector.label, "seed": noise.seed,
             "sigma": float(noise.relative_sigma), "trials": int(noise.trials)}
     if not noise.noiseless:
         meta["p0_direct"] = float(p0_read[0])
-    return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p=p[0], p0=p0[0], meta=meta)
+    return ResponseMap(grid=state.grid, depths=depths, pr=pr[0], p0=p0[0], meta=meta)

@@ -2,7 +2,7 @@
 direct-expansion oracle the pipeline is checked against, the per-bin quench
 and measurement formulas, the per-depth sweep, the per-scan
 finishing and scoring formulas the block code is checked against, and the
-version 1 and version 2 file writers the file formats are checked against."""
+CSV and JSON file writers the file formats are checked against."""
 
 import cmath
 import csv
@@ -414,15 +414,16 @@ def csv_save_sweep_map(path, sweep):
 
 
 # The JSON version 2 writers as they stood before io.py described each
-# artifact by one column table; with the CSV writers above they pin the
-# bytes of every artifact in both formats.
+# artifact by one column table, and the version 3 response map, which no
+# longer stores p; with the CSV writers above they pin the bytes of every
+# artifact in both formats.
 
 def _v2_floats(values) -> list:
     return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
-def _v2_write(path, artifact, payload):
-    text = json.dumps({"format": f"qquench.{artifact}/2", **payload}) + "\n"
+def _v2_write(path, artifact, payload, version=2):
+    text = json.dumps({"format": f"qquench.{artifact}/{version}", **payload}) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 
@@ -437,18 +438,27 @@ def v2_save_waveform(path, state):
     })
 
 
-def v2_save_response_map(path, rmap):
+def _map_payload(rmap):
     from qquench import __version__
 
-    _v2_write(path, "response_map", {
+    return {
         "meta": {**rmap.meta, "version": __version__},
         "bin_width": rmap.grid.bin_width,
         "origin": rmap.grid.origin,
         "depths": list(rmap.depths),
         "p0": rmap.p0,
         "pr": rmap.pr.tolist(),
-        "p": rmap.p.tolist(),
-    })
+    }
+
+
+def v2_save_response_map(path, rmap):
+    """A version 2 map, which also stores the derived ``p``."""
+    _v2_write(path, "response_map", {**_map_payload(rmap), "p": rmap.p.tolist()})
+
+
+def v3_save_response_map(path, rmap):
+    """A version 3 map: what was measured, ``pr`` and ``p0``, and no ``p``."""
+    _v2_write(path, "response_map", _map_payload(rmap), version=3)
 
 
 def v2_save_reconstruction(path, result):

@@ -298,6 +298,8 @@ def test_a_json_float_field_refuses_bools_strings_and_nulls(tmp_path, wave_csv, 
     if artifact == "map":
         path, command = tmp_path / "map.json", "reconstruct"
         assert run("scan", "--input", str(wave_csv), "--out", str(path)) == 0
+        if field.startswith("p."):  # only a version 2 map stores p
+            support.v2_save_response_map(path, load_response_map(path))
     else:
         path, command = tmp_path / "wave.json", "prepare"
         assert run("prepare", "--input", str(wave_csv), "--out", str(path)) == 0
@@ -440,6 +442,8 @@ def test_reconstruct_rejects_a_map_holding_nan_or_infinity(tmp_path, wave_csv, c
                                                            fmt, column, value):
     map_path = tmp_path / f"map.{fmt}"
     assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    if fmt == "json" and column == "p":  # only a version 2 map stores p
+        support.v2_save_response_map(map_path, load_response_map(map_path))
     if fmt == "json":
         payload = json.loads(map_path.read_text())
         if column == "p0":
@@ -456,6 +460,31 @@ def test_reconstruct_rejects_a_map_holding_nan_or_infinity(tmp_path, wave_csv, c
     out = tmp_path / "rec.json"
     assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 5
     assert f"{map_path}: column {column!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "v2"])
+def test_reconstruct_rejects_a_stored_p_one_ulp_off(tmp_path, wave_csv, capsys, fmt):
+    map_path = tmp_path / f"map.{'csv' if fmt == 'csv' else 'json'}"
+    assert run("scan", "--input", str(wave_csv), "--out", str(map_path)) == 0
+    rmap = load_response_map(map_path)
+    if fmt == "v2":
+        support.v2_save_response_map(map_path, rmap)
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 0
+    out.unlink()
+    off = np.nextafter(rmap.p[3, 1], np.inf)
+    if fmt == "v2":
+        support.edit_json(map_path, "p.3.1", float(off))
+    else:
+        lines = map_path.read_text().split("\n")
+        cells = lines[8].split(",")  # bin 3, second depth
+        assert float(cells[4]) == rmap.p[3, 1]
+        cells[4] = repr(float(off))
+        lines[8] = ",".join(cells)
+        map_path.write_text("\n".join(lines))
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 12
+    assert f"{map_path}: column 'p' differs from 1 - Pr/P0" in capsys.readouterr().err
     assert not out.exists()
 
 

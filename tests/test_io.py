@@ -297,6 +297,8 @@ def test_format_override_beats_suffix(tmp_path, pipeline):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # a response map's baseline must lie above the floor
 _baseline = st.floats(min_value=BASELINE_FLOOR, exclude_min=True, allow_infinity=False)
+# any pr in this range keeps p = 1 - pr/p0 finite over a baseline above the floor
+_pr = st.floats(min_value=-1e300, max_value=1e300)
 _shape = st.tuples(st.integers(2, 6), st.integers(1, 4))
 _formats = st.sampled_from(["csv", "json"])
 
@@ -323,18 +325,21 @@ def test_waveform_files_round_trip_exactly(tmp_path_factory, data, n, fmt):
     assert loaded.grid == state.grid
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), shape=_shape, fmt=_formats, width=st.floats(1e-9, 1e3))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=_shape, fmt=st.sampled_from(["csv", "json", "v2"]),
+       width=st.floats(1e-9, 1e3))
 def test_response_map_files_round_trip_exactly(tmp_path_factory, data, shape, fmt, width):
     rmap = ResponseMap(
         grid=_grid(shape[0], width),
         depths=data.draw(st.lists(_finite, min_size=shape[1], max_size=shape[1])),
-        pr=data.draw(arrays(np.float64, shape, elements=_finite)),
-        p=data.draw(arrays(np.float64, shape, elements=_finite)),
+        pr=data.draw(arrays(np.float64, shape, elements=_pr)),
         p0=data.draw(_baseline),
     )
-    path = tmp_path_factory.mktemp("map") / f"map.{fmt}"
-    save_response_map(path, rmap, fmt)
+    path = tmp_path_factory.mktemp("map") / f"map.{'csv' if fmt == 'csv' else 'json'}"
+    if fmt == "v2":  # a version 2 map also stores p, which is checked on load
+        support.v2_save_response_map(path, rmap)
+    else:
+        save_response_map(path, rmap, fmt)
     loaded = load_response_map(path, bin_width=width, origin=-width)
     assert loaded.grid == rmap.grid
     assert loaded.depths == rmap.depths
@@ -400,8 +405,7 @@ def _draw_response_map(data, n, d):
     return ResponseMap(
         grid=_grid(n, data.draw(st.floats(1e-9, 1e3))),
         depths=data.draw(st.lists(_finite, min_size=d, max_size=d)),
-        pr=data.draw(arrays(np.float64, (n, d), elements=_finite)),
-        p=data.draw(arrays(np.float64, (n, d), elements=_finite)),
+        pr=data.draw(arrays(np.float64, (n, d), elements=_pr)),
         p0=data.draw(_baseline),
         meta=data.draw(st.fixed_dictionaries({"selector": st.sampled_from(["uniform", "dft:3"]),
                                               "seed": st.integers(0, 2**64 - 1)})),
@@ -454,7 +458,7 @@ def _arrays(loaded) -> dict:
 # the byte oracles of each artifact: (CSV, JSON)
 ORACLES = {
     "waveform": (support.csv_save_waveform, support.v2_save_waveform),
-    "response_map": (support.csv_save_response_map, support.v2_save_response_map),
+    "response_map": (support.csv_save_response_map, support.v3_save_response_map),
     "reconstruction": (support.csv_save_reconstruction, support.v2_save_reconstruction),
     "sweep_fidelity": (support.csv_save_sweep_fidelity, support.v2_save_sweep_fidelity),
     "sweep_map": (support.csv_save_sweep_map, support.v2_save_sweep_map),
@@ -521,20 +525,20 @@ def test_scan_records_meta_and_json_restores_it(tmp_path, pipeline):
 
 def test_response_map_meta_defaults_empty_and_is_a_copy():
     meta = {"selector": "dft:3"}
-    rmap = ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [0.2]],
-                       p=[[0.3], [0.4]], p0=0.5, meta=meta)
+    rmap = ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [0.2]], p0=0.5,
+                       meta=meta)
     meta["selector"] = "uniform"
     assert rmap.meta == {"selector": "dft:3"}
     assert ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [0.2]],
-                       p=[[0.3], [0.4]], p0=0.5).meta == {}
+                       p0=0.5).meta == {}
 
 
 @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
 def test_unknown_format_tag_is_named(tmp_path, pipeline, artifact):
     path = tmp_path / "x.json"
-    path.write_text(json.dumps({"format": f"qquench.{artifact}/3"}))
+    path.write_text(json.dumps({"format": f"qquench.{artifact}/9"}))
     _, save, load = ARTIFACTS[artifact]
-    with pytest.raises(ValueError, match=f"qquench.{artifact}/3"):
+    with pytest.raises(ValueError, match=f"qquench.{artifact}/9"):
         load(path)
     # a file without a tag, such as one in the retired per-bin layout, is not read
     state, rmap, rec, sweep = pipeline
@@ -601,7 +605,8 @@ def test_sweep_fidelity_json_rejects_a_short_column(tmp_path, pipeline):
 @pytest.mark.parametrize("column", ["pr", "p"])
 def test_response_map_v2_rejects_ragged_columns(tmp_path, pipeline, column):
     path = tmp_path / "map.json"
-    save_response_map(path, pipeline[1], "json")
+    # only a version 2 map stores p
+    (support.v2_save_response_map if column == "p" else save_response_map)(path, pipeline[1])
     payload = json.loads(path.read_text())
     payload[column][2] = payload[column][2][:1]
     path.write_text(json.dumps(payload))
@@ -657,12 +662,12 @@ def test_json_writers_stay_on_the_c_encoder(tmp_path, monkeypatch):
     assert len(os.listdir(tmp_path)) == 5
 
 
-def test_v2_response_map_stores_at_most_24_bytes_per_value(tmp_path):
-    # the columnar file holds each pr and p double once, as its shortest repr
-    # (22.5 bytes a value here, separators, grid and meta included)
+def test_v3_response_map_stores_at_most_24_bytes_per_value(tmp_path):
+    # the columnar file holds each pr double once, as its shortest repr, and
+    # no p (21.0 bytes a value here, separators, grid and meta included)
     rmap = _wide_artifacts()[1]
-    save_response_map(tmp_path / "v2.json", rmap)
-    assert os.path.getsize(tmp_path / "v2.json") <= 24 * (rmap.pr.size + rmap.p.size)
+    save_response_map(tmp_path / "v3.json", rmap)
+    assert os.path.getsize(tmp_path / "v3.json") <= 24 * rmap.pr.size
 
 
 @pytest.mark.parametrize("field,value", [("p0", None), ("bin_width", "wide"), ("origin", [0]),
@@ -740,13 +745,19 @@ def test_json_writer_refuses_nan(tmp_path, pipeline):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", ["depths", "pr", "p"])
+@pytest.mark.parametrize("name", ["depths", "pr"])
 def test_response_map_refuses_non_finite_arrays(pipeline, name, value):
     rmap = pipeline[1]
-    fields = {"depths": list(rmap.depths), "pr": np.array(rmap.pr), "p": np.array(rmap.p)}
+    fields = {"depths": list(rmap.depths), "pr": np.array(rmap.pr)}
     if name == "depths":
         fields[name][1] = value
     else:
         fields[name][2, 1] = value
     with pytest.raises(NonFiniteInputError, match=f"response map {name} holds NaN or Infinity"):
         ResponseMap(grid=rmap.grid, p0=rmap.p0, **fields)
+
+
+def test_response_map_refuses_a_derived_p_that_overflows():
+    # |pr / p0| overflows to Infinity, so p = 1 - pr/p0 is -Infinity
+    with pytest.raises(NonFiniteInputError, match="response map p holds NaN or Infinity"):
+        ResponseMap(grid=BasisGrid(size=2), depths=(1.0,), pr=[[0.1], [1e305]], p0=1e-5)

@@ -4,10 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qquench import (
+    WAVEFORM_NAMES,
     BasisGrid,
     DegenerateBaselineError,
     IndexOutOfRangeError,
     NoiseModel,
+    NonFiniteInputError,
     PostSelector,
     ResponseMap,
     builtin_waveform,
@@ -291,21 +293,48 @@ def test_response_map_validates_record_order():
     grid = BasisGrid(size=2)
     depths = (np.pi / 2,)
     pr = np.full((2, 1), 0.4)
-    p = np.full((2, 1), 0.2)
-    ResponseMap(grid=grid, depths=depths, pr=pr, p=p, p0=0.5)
+    ResponseMap(grid=grid, depths=depths, pr=pr, p0=0.5)
     with pytest.raises(ValueError):  # wrong bin count
-        ResponseMap(grid=grid, depths=depths, pr=pr[:1], p=p[:1], p0=0.5)
+        ResponseMap(grid=grid, depths=depths, pr=pr[:1], p0=0.5)
     with pytest.raises(ValueError):  # wrong depth count
-        ResponseMap(grid=grid, depths=(np.pi / 2, -np.pi / 2), pr=pr, p=p, p0=0.5)
+        ResponseMap(grid=grid, depths=(np.pi / 2, -np.pi / 2), pr=pr, p0=0.5)
     with pytest.raises(ValueError):  # not (N, D)
-        ResponseMap(grid=grid, depths=depths, pr=pr.ravel(), p=p.ravel(), p0=0.5)
+        ResponseMap(grid=grid, depths=depths, pr=pr.ravel(), p0=0.5)
 
 
 @pytest.mark.parametrize("p0", [-0.5, 0.0, 1e-9, BASELINE_FLOOR, np.nan])
 def test_response_map_rejects_a_baseline_at_or_below_the_floor(p0):
     with pytest.raises(DegenerateBaselineError, match="floor"):
         ResponseMap(grid=BasisGrid(size=2), depths=(np.pi / 2,), pr=np.full((2, 1), 0.4),
-                    p=np.full((2, 1), 0.2), p0=p0)
+                    p0=p0)
+
+
+def test_response_map_rejects_an_infinite_baseline():
+    # inf lies above the floor, and would derive p = 1 in every cell
+    with pytest.raises(NonFiniteInputError, match="response map p0 holds NaN or Infinity"):
+        ResponseMap(grid=BasisGrid(size=2), depths=(np.pi / 2,), pr=np.full((2, 1), 0.4),
+                    p0=np.inf)
+
+
+def test_response_map_derives_p_from_pr_and_p0():
+    rmap = ResponseMap(grid=BasisGrid(size=2), depths=(np.pi / 2,), pr=[[0.1], [0.3]], p0=0.4)
+    assert rmap.p.tolist() == [[1.0 - 0.1 / 0.4], [1.0 - 0.3 / 0.4]]
+    assert not rmap.p.flags.writeable
+
+
+@pytest.mark.parametrize("selector", ["uniform", "dft3"])
+@pytest.mark.parametrize("name", WAVEFORM_NAMES)
+def test_scan_p_is_the_p_measure_seeds_returns(name, selector):
+    grid = BasisGrid(size=20)
+    state = builtin_waveform(name, grid)
+    sel = uniform_post_selector(grid) if selector == "uniform" else dft_post_selector(grid, 3)
+    for theta in (np.pi / 2, 3 * np.pi / 8):
+        for sigma in (0.0, 0.002):
+            for trials in (1, 16):
+                noise = NoiseModel(relative_sigma=sigma, seed=2019, trials=trials)
+                p = measure_block(state, sel, (theta, -theta), noise, [noise.seed])[2][0]
+                got = scan(state, sel, (theta, -theta), noise).p
+                assert got.tobytes() == p.tobytes(), (theta, sigma, trials)
 
 
 def test_response_matrix_shape_and_content():
