@@ -21,7 +21,7 @@ from . import rng
 _TRIAL_CHUNK = 4096
 _BLOCK_DRAWS = 2**15
 
-# A bound on |z| for every draw of rng.normals: u1 >= 2**-54, so the
+# A bound on |z| for every draw of rng.normals_into: u1 >= 2**-54, so the
 # Box-Muller radius sqrt(-2 ln u1) is at most sqrt(108 ln 2) = 8.6522, and
 # the polynomial cos factor exceeds 1 by a few ulp at most. A cell whose
 # noiseless value exceeds Z_MAX noise scales can never clamp at zero.
@@ -51,9 +51,10 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
     counter ``t`` of stream ``keys[n, d]`` and clamps at zero; a cell is the
     mean of its ``trials`` reads. A cell with ``pr_true > Z_MAX * sigma_abs``
     never clamps, so its mean is ``pr_true`` plus a normal of std
-    ``sigma_abs / sqrt(trials)``, drawn as one normal:
-    ``normal(key, 0) * (sigma_abs / sqrt(trials)) + pr_true``, which at one
-    trial is the per-trial read bit for bit. Every other cell sums its reads.
+    ``sigma_abs / sqrt(trials)``, drawn as one normal: with z0 the normal at
+    counter 0 of the cell's key, ``z0 * (sigma_abs / sqrt(trials)) + pr_true``,
+    which at one trial is the per-trial read bit for bit. Every other cell
+    sums its reads.
     """
     if sigma_abs == 0.0:
         # zero noise: trial averaging would only add rounding error
@@ -69,7 +70,8 @@ def noisy_mean_matrix(pr_true, sigma_abs, trials, keys):
 
 
 def _one_draw_means(base, scale, keys):
-    """``max(normal(key, 0) * scale + base, 0)`` per cell, in blocks of cells.
+    """``max(z0 * scale + base, 0)`` per cell, z0 the normal at counter 0 of
+    its key, in blocks of cells.
 
     The clamp fires only under the bound at one trial, where one read is the
     whole mean. One workspace serves every block: fresh temporaries would

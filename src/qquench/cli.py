@@ -313,7 +313,14 @@ def cmd_reconstruct(args) -> int:
         text = recorded
     overlaps = None
     if text is not None and text != "uniform":
-        overlaps = _selector_from_text(text, rmap.grid).overlaps
+        try:
+            overlaps = _selector_from_text(text, rmap.grid).overlaps
+        except ValueError:
+            if recorded is None:
+                raise
+            # a custom selector: the map does not hold the overlaps to divide out
+            raise ValueError(f"{args.input} was scanned with the selector {recorded!r}, "
+                             "whose overlaps the map does not record") from None
     result = reconstruct_wavefunction(rmap, overlaps=overlaps)
     out = _require_out(args)
     qio.save_reconstruction(out, result, args.format)

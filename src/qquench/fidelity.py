@@ -100,23 +100,15 @@ def fidelity_overall(psi_rec, psi_in):
     return _scalar_or_array(ratio)
 
 
-def _envelope_correlation(rec, ref, degenerate_by_cosine: bool, valid=None):
+def _envelope_correlation(rec, ref, degenerate_by_cosine: bool, valid):
     """Normalized correlation of two envelopes over the ``valid`` bins of each row.
 
-    Without ``valid`` the envelopes must have one shape and every bin
-    counts. An empty row scores 1. When either masked envelope is
-    identically zero the correlation is 0/0: it scores the mean cosine of
-    the difference if ``degenerate_by_cosine`` (1 for two flat-phase
-    envelopes), else 0.
+    An empty row scores 1. When either masked envelope is identically zero
+    the correlation is 0/0: it scores the mean cosine of the difference if
+    ``degenerate_by_cosine`` (1 for two flat-phase envelopes), else 0.
     """
-    x = np.asarray(rec, dtype=np.float64)
-    y = np.asarray(ref, dtype=np.float64)
-    if valid is None:
-        if x.shape != y.shape:
-            raise ValueError(f"envelope shapes differ: {x.shape} vs {y.shape}")
-        valid = np.ones(x.shape, dtype=bool)
-    x = np.where(valid, x, 0.0)
-    y = np.where(valid, y, 0.0)
+    x = np.where(valid, np.asarray(rec, dtype=np.float64), 0.0)
+    y = np.where(valid, np.asarray(ref, dtype=np.float64), 0.0)
     count = np.sum(valid, axis=-1)
     sx = np.sum(x * x, axis=-1)
     sy = np.sum(y * y, axis=-1)
@@ -206,7 +198,7 @@ def depth_sweep(state: WavefunctionState, selector: PostSelector, depths,
     # C order per depth: numpy adds a row pairwise only along the innermost axis
     pr_pairs = np.ascontiguousarray(pr_true.reshape(n_bins, n_depths, 2).transpose(1, 0, 2))
 
-    # row (d, s) scans with seed derive_key(seed, float_tag(theta_d), s); a
+    # row (d, s) scans with seed derive_keys(seed, float_tag(theta_d), s); a
     # noiseless scan does not depend on its seed, so it runs one row per depth
     per_depth = 1 if noise.noiseless else n_seeds
     row_depth = np.repeat(np.arange(n_depths), per_depth)

@@ -32,7 +32,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from itertools import chain
 from typing import NamedTuple
 
@@ -40,11 +39,7 @@ import numpy as np
 
 from .errors import NonFiniteInputError
 from .quench import ResponseMap
-from .reconstruct import (
-    ReconstructionResult,
-    amplitude_nodes,
-    phase_envelope,
-)
+from .reconstruct import ReconstructionResult, phase_envelope
 from .states import (
     DEFAULT_BIN_WIDTH,
     BasisGrid,
@@ -108,18 +103,16 @@ def fmt_float(x: float) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write text to ``path`` via a temp file plus rename.
 
-    The file gets the mode ``open()`` would give a new file (0666 less the
-    umask), not the 0600 that ``mkstemp`` creates the temp file with.
+    The temp file is created as ``open()`` creates a new file, with mode
+    0666 that the kernel reduces by the umask; reading the umask would mean
+    setting it, for every thread of the process.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qquench-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".qquench-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        umask = os.umask(0)  # the only way to read the umask is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -439,11 +432,8 @@ def load_reconstruction(path, fmt: str | None = None,
     payload, cols = _read_json(path, _RECONSTRUCTION)
     psi = np.empty(cols["re"].shape, dtype=np.complex128)
     psi.real, psi.imag = cols["psi_re"], cols["psi_im"]
-    return ReconstructionResult(
-        grid=_json_grid(path, payload, psi.size), raw_re=cols["re"], raw_im=cols["im"],
-        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
-        branch_ok=cols["branch_ok"], nodes=amplitude_nodes(psi),
-    )
+    return ReconstructionResult(grid=_json_grid(path, payload, psi.size), raw_re=cols["re"],
+                                raw_im=cols["im"], psi=psi, branch_ok=cols["branch_ok"])
 
 
 # -- sweep files ------------------------------------------------------------

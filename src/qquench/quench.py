@@ -164,7 +164,7 @@ def measure_seeds(selector: PostSelector, p0_true: float, pr_true, thetas,
     pr = pr_true
     if not noise.noiseless:
         sigma_abs = noise.relative_sigma * p0_true
-        # stream_key(seed, BASELINE_BIN, 0.0) of every seed
+        # every seed's baseline stream: bin tag BASELINE_BIN + 1 at depth 0.0
         baseline_keys = rng.derive_keys(seeds, rng.BASELINE_BIN + 1, rng.float_tag(0.0))
         p0 = p0_read = _kernels.noisy_mean_matrix(p0, sigma_abs, noise.trials, baseline_keys)
         keys = rng.key_matrix(seeds, pr_true.shape[-2], thetas)

@@ -16,7 +16,7 @@ check and this global consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,25 @@ class ReconstructionResult:
     (4*w per bin up to the omitted constant); ``psi`` is their unit-norm
     version with the global phase fixed so the largest-amplitude bin is real
     positive. ``branch_ok[u]`` is False where the inversion's validity
-    conditions failed; ``nodes[u]`` marks amplitude nodes where the phase is
-    meaningless. A block of scans holds (..., N) arrays, one row per scan.
+    conditions failed. ``psi`` fixes the rest, derived once here: its
+    ``amplitude_env`` |psi|, its ``phase_env`` (:func:`phase_envelope`) and
+    its ``nodes`` (:func:`amplitude_nodes`), which mark the bins whose phase
+    is meaningless. A block of scans holds (..., N) arrays, one row per scan.
     """
 
     grid: BasisGrid
     raw_re: np.ndarray
     raw_im: np.ndarray
     psi: np.ndarray
-    amplitude_env: np.ndarray
-    phase_env: np.ndarray
     branch_ok: np.ndarray
-    nodes: np.ndarray
+    amplitude_env: np.ndarray = field(init=False)
+    phase_env: np.ndarray = field(init=False)
+    nodes: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitude_env", np.abs(self.psi))
+        object.__setattr__(self, "phase_env", phase_envelope(self.psi))
+        object.__setattr__(self, "nodes", amplitude_nodes(self.psi))
 
 
 def _one_minus_cos(theta: float) -> float:
@@ -195,16 +202,7 @@ def reconstruct_inverted(grid: BasisGrid, re, im, branch_ok,
     ok &= norm != 0.0
     psi = gauge_fix(np.divide(scaled, norm, out=np.zeros_like(scaled), where=norm != 0.0))
 
-    return ReconstructionResult(
-        grid=grid,
-        raw_re=re,
-        raw_im=im,
-        psi=psi,
-        amplitude_env=np.abs(psi),
-        phase_env=phase_envelope(psi),
-        branch_ok=ok,
-        nodes=amplitude_nodes(psi),
-    )
+    return ReconstructionResult(grid=grid, raw_re=re, raw_im=im, psi=psi, branch_ok=ok)
 
 
 def reconstruct_wavefunction(rmap: ResponseMap, overlaps=None) -> ReconstructionResult:

@@ -7,12 +7,12 @@ makes scans reproducible and lets the trial-averaging kernel draw any subset
 of cells, in blocks of any size, with the same output bits.
 
 Key blocks (``derive_keys``, ``key_matrix``, for one seed or an array of
-them) and all draws (``normals``, or ``normals_into`` a reused workspace)
-run on one vectorized mixer over numpy uint64 arrays. The pure-Python ``mix64`` derives single keys
-(``derive_key``, ``stream_key``) and, with ``normal``, is the reference the
-tests hold the vectorized path to: the integer outputs are bit-identical,
-and the float normals agree to the last ulp or so because numpy's
-vectorized log may differ from libm by one rounding.
+them) and draws (``normals_into`` a reused workspace) run on one mixer,
+evaluated in place over numpy uint64 arrays. The tests hold it to an
+independent pure-Python twin of the mixer, the key derivation and the
+normal draw: the integer outputs are bit-identical, and the float normals
+agree to the last ulp or so because numpy's vectorized log may differ from
+libm by one rounding.
 
 A normal is the Box-Muller draw sqrt(-2 ln u1) * cos(2*pi*u2). The cos
 factor is an exact range reduction and a fixed odd polynomial in float64
@@ -62,35 +62,9 @@ DEFAULT_SEED = 0xC0FFEE
 BASELINE_BIN = -1
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    z = (z + GOLD) & MASK64
-    z = ((z ^ (z >> 30)) * MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
 def float_tag(x: float) -> int:
     """Bit pattern of a float64, for keying streams by a real parameter."""
     return int(np.float64(x).view(np.uint64))
-
-
-def derive_key(seed: int, *tags: int) -> int:
-    """Fold integer tags into a seed, producing an independent stream key."""
-    k = mix64(seed & MASK64)
-    for t in tags:
-        k = mix64(k ^ (t & MASK64))
-    return k
-
-
-def stream_key(seed: int, bin_index: int, theta: float) -> int:
-    """Key of the noise stream attached to one (bin, quench depth) slot.
-
-    ``bin_index = BASELINE_BIN`` addresses the shared baseline measurement.
-    Keying by the depth value (not its position in a list) keeps draws stable
-    when the depth list is reordered or extended.
-    """
-    return derive_key(seed, bin_index + 1, float_tag(theta))
 
 
 def _u64(x) -> np.ndarray:
@@ -103,10 +77,14 @@ def _u64(x) -> np.ndarray:
 
 
 def derive_keys(seed, *tags) -> np.ndarray:
-    """:func:`derive_key` over arrays: the seed and tags broadcast like numpy operands."""
-    k = _mix64_np(_u64(seed))
+    """Stream keys that fold integer ``tags`` into ``seed``: the mixer of the
+    seed, then of the key xor each tag in turn. The seed and tags are masked
+    to 64 bits and broadcast like numpy operands."""
+    k = np.array(_u64(seed))  # a copy: the mixer runs in place
+    _mix64_inplace(k, np.empty_like(k))
     for t in tags:
-        k = _mix64_np(k ^ _u64(t))
+        k = k ^ _u64(t)
+        _mix64_inplace(k, np.empty_like(k))
     return k
 
 
@@ -114,29 +92,16 @@ def key_matrix(seed, n_bins: int, thetas) -> np.ndarray:
     """uint64 stream keys of shape ``np.shape(seed) + (n_bins, n_depths)``.
 
     ``seed`` is one seed or an array of them; ``thetas`` is one list of
-    depths, or one row of them per seed. Entry ``[..., n, d]`` equals
-    ``stream_key(seed, n, theta)`` for the matching seed and its depth ``d``.
+    depths, or one row of them per seed. Entry ``[..., n, d]`` is the key of
+    bin ``n`` at depth ``d``, ``derive_keys(seed, n + 1, float_tag(theta_d))``
+    for the matching seed. Keying by the depth value, not its position,
+    keeps draws stable when the depth list is reordered or extended; bin
+    tag ``BASELINE_BIN + 1 = 0`` at depth 0.0 is the baseline's stream.
     """
     seeds = _u64(seed).reshape(np.shape(seed) + (1, 1))
     bins = np.arange(1, n_bins + 1, dtype=np.uint64)[:, None]
     tags = np.asarray(thetas, dtype=np.float64).view(np.uint64)[..., None, :]
     return derive_keys(seeds, bins, tags)
-
-
-def normal(key: int, counter: int) -> float:
-    """One standard normal draw at an absolute stream position.
-
-    The scalar twin of :func:`normals`: the same uniforms, ``math.log`` for
-    the radius, and the same cos factor bit for bit (:func:`_mul_cos_two_pi`
-    on 0-d arrays), so the two differ only where ``math.log`` and
-    ``np.log`` do.
-    """
-    a = mix64((key ^ mix64((counter ^ CTR_SALT) & MASK64)) & MASK64)
-    b = mix64(a ^ PAIR_SALT)
-    u1 = ((a >> 11) + 0.5) * _TWO_NEG53
-    u2 = ((b >> 11) + 0.5) * _TWO_NEG53
-    r = np.array(math.sqrt(-2.0 * math.log(u1)))
-    return float(_mul_cos_two_pi(r, np.array(u2), np.empty(())))
 
 
 def _mul_cos_two_pi(r: np.ndarray, u: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -167,14 +132,11 @@ def _mul_cos_two_pi(r: np.ndarray, u: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return r
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a uint64 array, into a new array."""
-    z = np.array(z, dtype=np.uint64)
-    return _mix64_inplace(z, np.empty_like(z))
-
-
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over ``z`` in place, with ``tmp`` (same shape) as scratch."""
+    """The SplitMix64 finalizer over ``z`` in place, with ``tmp`` (same shape) as scratch.
+
+    The package's one mixer: uint64 arithmetic wraps modulo 2**64.
+    """
     np.add(z, _GOLD_U64, out=z)
     for shift, mult in ((30, _MIX1_U64), (27, _MIX2_U64)):
         np.right_shift(z, _SHIFTS[shift], out=tmp)
@@ -185,19 +147,6 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def normals(key, counters) -> np.ndarray:
-    """Vectorized standard normals at (key, counter) stream positions.
-
-    ``key`` is one stream key or an array of them; it broadcasts against
-    ``counters`` like any pair of numpy operands.
-    """
-    key = np.asarray(key, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
-    shape = np.broadcast_shapes(key.shape, counters.shape)
-    return normals_into(key, counter_words(counters),
-                        np.empty((3,) + shape, dtype=np.uint64)).copy()
-
-
 def counter_words(counters) -> np.ndarray:
     """The half of a draw's mix that depends on the counter alone."""
     words = np.asarray(counters, dtype=np.uint64) ^ _CTR_SALT_U64
@@ -205,12 +154,13 @@ def counter_words(counters) -> np.ndarray:
 
 
 def normals_into(key, words, work: np.ndarray) -> np.ndarray:
-    """:func:`normals` at the counters behind ``words = counter_words(counters)``.
+    """Standard normals at the (key, counter) stream positions behind
+    ``words = counter_words(counters)``; ``key`` broadcasts against ``words``.
 
     Every step runs in place in ``work``, a uint64 array of shape
     ``(3,) + broadcast(key, words).shape``, so a caller that reuses one
     workspace allocates nothing per call. Returns a float64 view of
-    ``work``; the bits equal those of :func:`normals`. The radius is
+    ``work``, whose bits do not depend on what ``work`` held. The radius is
     sqrt(-2 ln u1) in one plane and the cos factor of u2 is evaluated in
     the other two (:func:`_mul_cos_two_pi`), so no fourth plane is needed.
     """

@@ -95,14 +95,18 @@ class PostSelector:
 
     ``overlaps[u]`` is the bra-side overlap of the selector with basis
     element ``u``; the attached label records how it was built (``uniform``
-    or ``dft:k``). Every overlap must be nonzero, otherwise the protocol
+    or ``dft:k``). Without a label it is ``uniform`` if every overlap is
+    exactly 1/sqrt(N), the overlaps of :func:`uniform_post_selector`, else
+    ``custom``; ``uniform`` on any other overlaps raises ``ValueError``, as
+    the reconstruction divides out the overlaps of every selector but the
+    uniform one. Every overlap must be nonzero, otherwise the protocol
     cannot see the corresponding bin at all. ``flat``: every |overlap|^2 is
     1/N to rounding (``uniform``, ``dft:k``), so the sum rule gives P0.
     """
 
     grid: BasisGrid
     overlaps: np.ndarray
-    label: str = "uniform"
+    label: str | None = None
     flat: bool = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -113,14 +117,14 @@ class PostSelector:
             raise ValueError(f"selector norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
         if np.any(np.abs(arr) == 0.0):
             raise ValueError("post-selection state must overlap every basis element")
+        uniform = bool(np.all(arr == 1.0 / math.sqrt(self.grid.size)))
+        if self.label is None:
+            object.__setattr__(self, "label", "uniform" if uniform else "custom")
+        elif self.label == "uniform" and not uniform:
+            raise ValueError("label 'uniform' needs every overlap equal to 1/sqrt(N)")
         object.__setattr__(self, "overlaps", _freeze(arr))
         object.__setattr__(self, "flat", bool(np.all(np.abs(mod_sq * self.grid.size - 1.0)
                                                      <= NORM_TOL)))
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Ket-side components in the bin basis (conjugate of the overlaps)."""
-        return np.conj(self.overlaps)
 
 
 def make_state(grid: BasisGrid, raw) -> WavefunctionState:

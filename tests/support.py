@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: random states, the independent
-direct-expansion oracle the pipeline is checked against, the per-bin quench
+direct-expansion oracle the pipeline is checked against, the scalar
+random-stream oracle the vectorized streams are checked against, the per-bin quench
 and measurement formulas, the per-depth sweep, the per-scan
 finishing and scoring formulas the block code is checked against, and the
 CSV and JSON file writers the file formats are checked against."""
@@ -21,7 +22,6 @@ from qquench import (
     PostSelector,
     ReconstructionResult,
     WavefunctionState,
-    amplitude_nodes,
     make_state,
     phase_envelope,
     scan,
@@ -135,7 +135,7 @@ def apply_quench(state: WavefunctionState, q: QuenchConfig) -> WavefunctionState
 
 def projection_probability(state: WavefunctionState, selector: PostSelector) -> float:
     """Probability of projecting ``state`` onto the post-selection state."""
-    return abs(np.vdot(selector.amplitudes, state.amplitudes)) ** 2
+    return abs(np.vdot(np.conj(selector.overlaps), state.amplitudes)) ** 2
 
 
 def response_factor(measured_pr: float, baseline_p0: float) -> float:
@@ -160,7 +160,7 @@ def measure_with_noise(true_pr, noise: NoiseModel, key=None, baseline_p0=None) -
     if noise.noiseless:
         return float(true_pr)
     if key is None:
-        key = rng.stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
+        key = stream_key(noise.seed, rng.BASELINE_BIN, 0.0)
     scale = noise.relative_sigma * (true_pr if baseline_p0 is None else baseline_p0)
     return mean_of_one_cell(true_pr, scale, noise.trials, key)
 
@@ -248,9 +248,7 @@ def reference_reconstruct_inverted(grid, re, im, branch_ok, overlaps=None):
         psi = scaled / norm
         peak = int(np.argmax(np.abs(psi)))
         psi = psi * (psi[peak].conjugate() / abs(psi[peak]))
-    return ReconstructionResult(grid=grid, raw_re=re, raw_im=im, psi=psi,
-                                amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
-                                branch_ok=ok, nodes=amplitude_nodes(psi))
+    return ReconstructionResult(grid=grid, raw_re=re, raw_im=im, psi=psi, branch_ok=ok)
 
 
 def _reference_correlation(x, y, degenerate_by_cosine):
@@ -283,7 +281,60 @@ def reference_score(result, state, noise=None):
 
 
 
-# rng.normals written with a new array for every step. The in-place mixer and
+# The scalar twin of the streams, in pure Python integers: the mixer, the key
+# derivation and one normal draw. rng.derive_keys, rng.key_matrix and
+# rng.normals_into are held to it: the integer outputs bit for bit, the
+# normals to the last ulp or so, as math.log and np.log may differ by one
+# rounding.
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer on a 64-bit integer."""
+    z = (z + rng.GOLD) & rng.MASK64
+    z = ((z ^ (z >> 30)) * rng.MIX1) & rng.MASK64
+    z = ((z ^ (z >> 27)) * rng.MIX2) & rng.MASK64
+    return z ^ (z >> 31)
+
+
+def derive_key(seed: int, *tags: int) -> int:
+    """Fold integer tags into a seed, producing an independent stream key."""
+    k = mix64(seed & rng.MASK64)
+    for t in tags:
+        k = mix64(k ^ (t & rng.MASK64))
+    return k
+
+
+def stream_key(seed: int, bin_index: int, theta: float) -> int:
+    """Key of the noise stream attached to one (bin, quench depth) slot;
+    ``bin_index = rng.BASELINE_BIN`` addresses the shared baseline measurement."""
+    return derive_key(seed, bin_index + 1, rng.float_tag(theta))
+
+
+def normal(key: int, counter: int) -> float:
+    """One standard normal draw at an absolute stream position.
+
+    The same uniforms as :func:`normals`, ``math.log`` for the radius, and
+    the same cos factor bit for bit (``rng._mul_cos_two_pi`` on 0-d arrays),
+    so the two differ only where ``math.log`` and ``np.log`` do.
+    """
+    a = mix64((key ^ mix64((counter ^ rng.CTR_SALT) & rng.MASK64)) & rng.MASK64)
+    b = mix64(a ^ rng.PAIR_SALT)
+    u1 = ((a >> 11) + 0.5) * 2.0**-53
+    u2 = ((b >> 11) + 0.5) * 2.0**-53
+    r = np.array(math.sqrt(-2.0 * math.log(u1)))
+    return float(rng._mul_cos_two_pi(r, np.array(u2), np.empty(())))
+
+
+def normals(key, counters) -> np.ndarray:
+    """:func:`rng.normals_into` a fresh workspace: standard normals at
+    (key, counter) positions, ``key`` broadcast against ``counters``."""
+    key = np.asarray(key, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    shape = np.broadcast_shapes(key.shape, counters.shape)
+    return rng.normals_into(key, rng.counter_words(counters),
+                            np.empty((3,) + shape, dtype=np.uint64)).copy()
+
+
+# The normal draw written with a new array for every step. The in-place mixer and
 # the in-place cos factor must give the same bits.
 
 def _reference_mix64(z):
@@ -343,8 +394,8 @@ def pure_python_mean(pr, sigma, trials, key):
     """One cell of the kernel in pure Python: above the bound one normal
     scaled by sigma / sqrt(trials), else the mean of the clamped reads."""
     if pr > _kernels.Z_MAX * sigma:
-        return rng.normal(key, 0) * (sigma / math.sqrt(trials)) + pr
-    return sum(max(pr + sigma * rng.normal(key, t), 0.0) for t in range(trials)) / trials
+        return normal(key, 0) * (sigma / math.sqrt(trials)) + pr
+    return sum(max(pr + sigma * normal(key, t), 0.0) for t in range(trials)) / trials
 
 
 def libm_reference_normals(key, counters):

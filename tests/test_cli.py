@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qquench import load_reconstruction, load_response_map, load_sweep_fidelity, load_waveform
+from qquench import (
+    PostSelector,
+    ResponseMap,
+    dft_post_selector,
+    load_reconstruction,
+    load_response_map,
+    load_sweep_fidelity,
+    load_waveform,
+    save_response_map,
+)
 from qquench.cli import _CONFIG_TYPES, _build_parser, main, parse_theta
 
 import support
@@ -239,6 +248,19 @@ def test_reconstruct_accepts_an_explicit_selector_that_agrees(tmp_path, capsys):
     assert _printed_f_w(capsys) >= 1 - 1e-9
 
 
+def test_reconstruct_refuses_a_map_of_a_custom_selector(tmp_path, capsys):
+    wave, map_path = _dft3_chain(tmp_path)
+    rmap = load_response_map(map_path)
+    overlaps = dft_post_selector(rmap.grid, 3).overlaps
+    custom = ResponseMap(grid=rmap.grid, depths=rmap.depths, pr=rmap.pr, p0=rmap.p0,
+                         meta={**rmap.meta, "selector": PostSelector(rmap.grid, overlaps).label})
+    save_response_map(map_path, custom)
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", str(map_path), "--out", str(out)) == 12
+    assert "'custom'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_csv_map_keeps_the_selector_flag(tmp_path, capsys):
     # a CSV map records no selector: the flag alone decides, as before
     wave, map_path = _dft3_chain(tmp_path, "map.csv")
@@ -432,6 +454,16 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
         names = [f"{out}_fidelity.csv", f"{out}_map.csv"] if argv[0] == "sweep" else [out]
         for name in names:
             assert (tmp_path / name).is_file(), (line, name)
+
+
+def test_readme_library_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    scores = [float(x) for x in capsys.readouterr().out.split()]
+    assert len(scores) == 3
+    assert min(scores) >= 0.99, scores
 
 
 @pytest.mark.parametrize("fmt,column,value", [

@@ -10,6 +10,7 @@ from qquench import (
     BasisGrid,
     DegenerateBaselineError,
     NoiseModel,
+    PostSelector,
     SingularDepthError,
     builtin_waveform,
     depth_sweep,
@@ -23,7 +24,7 @@ from qquench import (
 )
 from qquench import rng
 from qquench.fidelity import _envelope_correlation
-from support import branch_valid_state
+from support import branch_valid_state, derive_key
 
 QUIET = NoiseModel(relative_sigma=0.0)
 
@@ -51,31 +52,36 @@ def test_fidelity_overall_zero_vector():
     assert fidelity_overall(np.zeros(3), np.ones(3)) == 0.0
 
 
+def _unmasked(rec, ref, degenerate_by_cosine):
+    """The envelope correlation over every bin."""
+    return _envelope_correlation(rec, ref, degenerate_by_cosine, np.ones(np.shape(rec), bool))
+
+
 def test_fidelity_phase_identical_envelopes():
     phi = np.array([0.1, -0.5, 1.2])
-    assert _envelope_correlation(phi, phi, True) == pytest.approx(1.0, abs=1e-14)
+    assert _unmasked(phi, phi, True) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_phase_flat_envelopes_score_one():
     zeros = np.zeros(5)
-    assert _envelope_correlation(zeros, zeros, True) == 1.0
+    assert _unmasked(zeros, zeros, True) == 1.0
 
 
 def test_fidelity_phase_flat_reference_uses_mean_cosine():
     noisy = np.array([0.01, -0.02, 0.015])
-    got = _envelope_correlation(noisy, np.zeros(3), True)
+    got = _unmasked(noisy, np.zeros(3), True)
     assert got == pytest.approx(np.mean(np.cos(noisy)), abs=1e-15)
     assert got > 0.99
 
 
 def test_fidelity_phase_anticorrelated_is_negative():
     phi = np.array([0.3, -0.7, 1.1])
-    assert _envelope_correlation(phi, -phi, True) == pytest.approx(-1.0, abs=1e-14)
+    assert _unmasked(phi, -phi, True) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_fidelity_amplitude_identical():
     amp = np.array([0.2, 0.5, 0.6])
-    assert _envelope_correlation(amp, amp, False) == pytest.approx(1.0, abs=1e-14)
+    assert _unmasked(amp, amp, False) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_amplitude_bounded_by_one():
@@ -83,14 +89,7 @@ def test_fidelity_amplitude_bounded_by_one():
     for _ in range(20):
         a = np.abs(rng.standard_normal(6))
         b = np.abs(rng.standard_normal(6))
-        assert _envelope_correlation(a, b, False) <= 1.0 + 1e-12
-
-
-def test_fidelity_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        _envelope_correlation(np.zeros(3), np.zeros(4), True)
-    with pytest.raises(ValueError):
-        _envelope_correlation(np.zeros(3), np.zeros(4), False)
+        assert _unmasked(a, b, False) <= 1.0 + 1e-12
 
 
 def test_score_noiseless_round_trip_is_perfect():
@@ -212,7 +211,7 @@ def _per_seed_sweep(state, sel, depths, noise, n_seeds):
     for d, theta in enumerate(depths):
         for s in range(n_seeds):
             sub = NoiseModel(relative_sigma=noise.relative_sigma, trials=noise.trials,
-                             seed=rng.derive_key(noise.seed, rng.float_tag(theta), s))
+                             seed=derive_key(noise.seed, rng.float_tag(theta), s))
             rmap = scan(state, sel, (theta, -theta), sub)
             rec = reconstruct_wavefunction(rmap, overlaps=overlaps)
             scores = score_reconstruction(rec, state, sub)
@@ -252,6 +251,17 @@ def test_depth_sweep_divides_out_selector_overlaps():
     assert sweep.fw_mean[0] >= 0.99
 
 
+def test_depth_sweep_divides_out_the_overlaps_of_a_hand_built_selector():
+    grid = BasisGrid(size=20)
+    state = builtin_waveform("gaussian_linear_chirp", grid)
+    builtin = dft_post_selector(grid, 1)
+    hand_built = PostSelector(grid, builtin.overlaps)
+    for sel in (builtin, hand_built):
+        sweep = depth_sweep(state, sel, (np.pi / 2,), QUIET, n_seeds=1)
+        assert sweep.fw_mean[0] >= 1 - 1e-12, sel.label
+    assert scan(state, hand_built, (np.pi / 2, -np.pi / 2), QUIET).meta["selector"] == "custom"
+
+
 def test_depth_sweep_rejects_a_degenerate_measured_baseline():
     # P0 = 4e-6 with sigma equal to P0: some seeds measure P0 at the floor,
     # and the sweep raises as a scan with that seed does
@@ -263,7 +273,7 @@ def test_depth_sweep_rejects_a_degenerate_measured_baseline():
     failing = []
     for s in range(32):
         sub = NoiseModel(relative_sigma=1.0, trials=1,
-                         seed=rng.derive_key(noise.seed, rng.float_tag(theta), s))
+                         seed=derive_key(noise.seed, rng.float_tag(theta), s))
         try:
             scan(state, sel, (theta, -theta), sub)
         except DegenerateBaselineError:

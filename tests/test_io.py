@@ -34,7 +34,7 @@ from qquench import (
     scan,
     uniform_post_selector,
 )
-from qquench import amplitude_nodes, phase_envelope
+from qquench import phase_envelope
 from qquench.io import atomic_write_text, fmt_float, resolve_format
 from qquench.quench import BASELINE_FLOOR
 
@@ -91,6 +91,23 @@ def test_atomic_write_mode_matches_open(tmp_path, umask):
     atomic_mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
     assert atomic_mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
     assert atomic_mode == 0o666 & ~umask
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even to read it, races every
+    # other thread that creates a file
+    previous = os.umask(0o022)
+    try:
+        def no_umask(mask):
+            raise AssertionError("atomic_write_text set the umask")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", no_umask)
+            atomic_write_text(tmp_path / "atomic.txt", "x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode) == 0o666 & ~0o022
+    assert os.listdir(tmp_path) == ["atomic.txt"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -357,8 +374,7 @@ def test_reconstruction_json_round_trips_exactly(tmp_path_factory, data, n):
         grid=_grid(n, 0.5),
         raw_re=data.draw(arrays(np.float64, n, elements=_finite)),
         raw_im=data.draw(arrays(np.float64, n, elements=_finite)),
-        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
-        branch_ok=data.draw(arrays(np.bool_, n)), nodes=amplitude_nodes(psi),
+        psi=psi, branch_ok=data.draw(arrays(np.bool_, n)),
     )
     path = tmp_path_factory.mktemp("rec") / "rec.json"
     save_reconstruction(path, rec, "json")
@@ -419,8 +435,7 @@ def _draw_reconstruction(data, n, d):
         grid=_grid(n, 0.5),
         raw_re=data.draw(arrays(np.float64, n, elements=_finite)),
         raw_im=data.draw(arrays(np.float64, n, elements=_finite)),
-        psi=psi, amplitude_env=np.abs(psi), phase_env=phase_envelope(psi),
-        branch_ok=data.draw(arrays(np.bool_, n)), nodes=amplitude_nodes(psi),
+        psi=psi, branch_ok=data.draw(arrays(np.bool_, n)),
     )
 
 

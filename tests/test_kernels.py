@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qquench import _kernels, rng
-from support import (mean_of_one_cell, oracle_probabilities, per_trial_means, pure_python_mean,
-                     random_state)
+from support import (mean_of_one_cell, mix64, normals, oracle_probabilities, per_trial_means,
+                     pure_python_mean, random_state, stream_key)
 from qquench import BasisGrid, uniform_post_selector
 
 
@@ -45,7 +45,7 @@ def test_trial_average_converges():
     true = 0.3
     sigma = 0.05
     trials = 20_000
-    got = mean_of_one_cell(true, sigma, trials, rng.stream_key(8, -1, 1.0))
+    got = mean_of_one_cell(true, sigma, trials, stream_key(8, -1, 1.0))
     se = sigma / np.sqrt(trials)
     assert abs(got - true) < 5 * se
 
@@ -53,7 +53,7 @@ def test_trial_average_converges():
 def test_clamping_biases_tiny_probabilities_up():
     # true probability far below sigma: negatives clamp to 0, so the
     # average must sit above the true value
-    got = mean_of_one_cell(1e-6, 0.05, 50_000, rng.stream_key(9, -1, 1.0))
+    got = mean_of_one_cell(1e-6, 0.05, 50_000, stream_key(9, -1, 1.0))
     assert got > 1e-6
 
 
@@ -110,7 +110,7 @@ def test_blocked_mean_matrix_is_bit_identical(cells, trials):
 
 def _one_draw(pr, sigma, trials, keys):
     """Pr + (sigma / sqrt(trials)) * normal(key, 0), in the kernel's order."""
-    return rng.normals(keys, np.zeros(keys.shape, dtype=np.uint64)) * (
+    return normals(keys, np.zeros(keys.shape, dtype=np.uint64)) * (
         sigma / math.sqrt(trials)) + pr
 
 
@@ -153,7 +153,7 @@ def _unxorshift(y, shift):
 
 
 def _unmix64(z):
-    """The inverse of rng.mix64: undo each xor-shift and multiply in turn."""
+    """The inverse of mix64: undo each xor-shift and multiply in turn."""
     mask = rng.MASK64
     z = _unxorshift(z, 31)
     z = (z * pow(rng.MIX2, -1, 2**64)) & mask
@@ -167,11 +167,11 @@ def test_no_draw_exceeds_z_max():
     # The smallest uniform u1 = 2**-54 gives the largest radius. First on
     # the stream: keys whose first mixed word a has a >> 11 == 0, so u1 is
     # exactly 2**-54, whatever u2 they draw.
-    word = rng.mix64(rng.CTR_SALT)  # counter 0
+    word = mix64(rng.CTR_SALT)  # counter 0
     for a in (0, 1, 2047):
-        assert rng.mix64(_unmix64(a)) == a
+        assert mix64(_unmix64(a)) == a
     keys = np.array([_unmix64(a) ^ word for a in range(2048)], dtype=np.uint64)
-    z = rng.normals(keys, np.zeros(keys.size, dtype=np.uint64))
+    z = normals(keys, np.zeros(keys.size, dtype=np.uint64))
     radius = math.sqrt(-2.0 * math.log(2.0**-54))
     assert np.max(np.abs(z)) > 0.99 * radius  # u1 was 2**-54
     assert np.max(np.abs(z)) <= _kernels.Z_MAX

@@ -7,6 +7,7 @@ from qquench import (
     BasisGrid,
     IncompleteDepthsError,
     NoiseModel,
+    ReconstructionResult,
     SingularDepthError,
     amplitude_nodes,
     dft_post_selector,
@@ -218,6 +219,20 @@ def test_overlap_correction_for_dft_selector():
     # without the correction the recovered vector is a different state
     rec_raw = reconstruct_wavefunction(rmap)
     assert abs(np.vdot(rec_raw.psi, state.amplitudes)) < 1 - 1e-3
+
+
+def test_reconstruction_derives_its_envelopes_from_psi():
+    grid = BasisGrid(size=4)
+    psi = np.array([0.6, -0.8j, 0.0, -1e-12])
+    inputs = dict(grid=grid, raw_re=np.zeros(4), raw_im=np.zeros(4), psi=psi,
+                  branch_ok=np.ones(4, bool))
+    rec = ReconstructionResult(**inputs)
+    assert np.array_equal(rec.amplitude_env, np.abs(psi))
+    assert np.array_equal(rec.phase_env, phase_envelope(psi))
+    assert np.array_equal(rec.nodes, [False, False, True, True])
+    for name in ("amplitude_env", "phase_env", "nodes"):
+        with pytest.raises(TypeError):
+            ReconstructionResult(**inputs, **{name: getattr(rec, name)})
 
 
 def test_phase_envelope_quadrants():

@@ -7,30 +7,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qquench import rng
-from support import libm_reference_normals, reference_normals, reference_uniforms
+from support import (
+    derive_key,
+    libm_reference_normals,
+    mix64,
+    normal,
+    normals,
+    reference_normals,
+    reference_uniforms,
+    stream_key,
+)
 
 
 def test_mix64_is_deterministic_and_masked():
-    a = rng.mix64(12345)
-    assert a == rng.mix64(12345)
+    a = mix64(12345)
+    assert a == mix64(12345)
     assert 0 <= a < 2**64
-    assert rng.mix64(2**64 + 12345) == a
+    assert mix64(2**64 + 12345) == a
 
 
 def test_mix64_scalar_matches_array_path():
     values = np.array([0, 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
-    vector = rng._mix64_np(values.copy())
-    scalar = np.array([rng.mix64(int(v)) for v in values], dtype=np.uint64)
+    vector = rng.derive_keys(values)
+    scalar = np.array([mix64(int(v)) for v in values], dtype=np.uint64)
     assert np.array_equal(vector, scalar)
+    assert np.array_equal(values, [0, 1, 2**32, 2**63, 2**64 - 1])  # the input is kept
 
 
 def test_derive_key_changes_with_every_tag():
-    base = rng.derive_key(7, 1, 2)
-    assert base == rng.derive_key(7, 1, 2)
-    assert base != rng.derive_key(8, 1, 2)
-    assert base != rng.derive_key(7, 2, 2)
-    assert base != rng.derive_key(7, 1, 3)
-    assert rng.derive_key(7, 1) != rng.derive_key(7, 1, 0)
+    base = derive_key(7, 1, 2)
+    assert base == derive_key(7, 1, 2)
+    assert base != derive_key(8, 1, 2)
+    assert base != derive_key(7, 2, 2)
+    assert base != derive_key(7, 1, 3)
+    assert derive_key(7, 1) != derive_key(7, 1, 0)
 
 
 def test_float_tag_distinguishes_nearby_depths():
@@ -46,7 +56,7 @@ def test_stream_key_matches_key_matrix():
     assert keys.dtype == np.uint64
     for n in range(4):
         for d, theta in enumerate(thetas):
-            assert int(keys[n, d]) == rng.stream_key(321, n, theta)
+            assert int(keys[n, d]) == stream_key(321, n, theta)
 
 
 _u64 = st.integers(0, 2**64 - 1)
@@ -57,7 +67,7 @@ _u64 = st.integers(0, 2**64 - 1)
        thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 @example(seeds=[2**64 - 1, 2**63 + 5], n_bins=3, thetas=[-0.0, 0.0, np.pi, -np.pi, -1e-4])
 def test_key_matrix_equals_stream_key_oracle(seeds, n_bins, thetas):
-    oracle = np.array([[[rng.stream_key(seed, n, t) for t in thetas]
+    oracle = np.array([[[stream_key(seed, n, t) for t in thetas]
                         for n in range(n_bins)] for seed in seeds], dtype=np.uint64)
     oracle = oracle.reshape(len(seeds), n_bins, len(thetas))
     one = rng.key_matrix(seeds[0], n_bins, thetas)
@@ -77,10 +87,10 @@ def test_key_matrix_equals_stream_key_oracle(seeds, n_bins, thetas):
 @given(seed=_u64, tag=_u64, count=st.integers(1, 40))
 def test_derive_keys_equals_derive_key_oracle(seed, tag, count):
     keys = rng.derive_keys(seed, tag, np.arange(count))
-    assert np.array_equal(keys, np.array([rng.derive_key(seed, tag, s) for s in range(count)],
+    assert np.array_equal(keys, np.array([derive_key(seed, tag, s) for s in range(count)],
                                          dtype=np.uint64))
     assert np.array_equal(rng.derive_keys(keys, rng.BASELINE_BIN + 1, rng.float_tag(0.0)),
-                          np.array([rng.stream_key(int(k), rng.BASELINE_BIN, 0.0) for k in keys],
+                          np.array([stream_key(int(k), rng.BASELINE_BIN, 0.0) for k in keys],
                                    dtype=np.uint64))
 
 
@@ -89,8 +99,8 @@ def test_derive_keys_equals_derive_key_oracle(seed, tag, count):
        counters=st.lists(_u64, min_size=1, max_size=40))
 def test_normals_broadcast_keys_match_one_call_per_key(keys, counters):
     counters = np.array(counters, dtype=np.uint64)
-    block = rng.normals(np.array(keys, dtype=np.uint64)[:, None], counters)
-    rows = np.array([rng.normals(k, counters) for k in keys])
+    block = normals(np.array(keys, dtype=np.uint64)[:, None], counters)
+    rows = np.array([normals(k, counters) for k in keys])
     assert block.shape == (len(keys), counters.size)
     assert np.array_equal(block, rows)
 
@@ -106,34 +116,34 @@ def test_normals_into_a_reused_workspace_equals_normals(keys, counters, spare):
     rng.normals_into(keys[::-1], words, work[:, :keys.shape[0]])  # leave stale bits behind
     got = rng.normals_into(keys, words, work[:, :keys.shape[0]])
     assert np.array_equal(got, reference_normals(keys, counters))
-    assert np.array_equal(rng.normals(keys, counters), got)
+    assert np.array_equal(normals(keys, counters), got)
 
 
 def test_baseline_stream_is_distinct_from_bins():
     theta = np.pi / 2
-    baseline = rng.stream_key(5, rng.BASELINE_BIN, theta)
-    bins = {rng.stream_key(5, n, theta) for n in range(64)}
+    baseline = stream_key(5, rng.BASELINE_BIN, theta)
+    bins = {stream_key(5, n, theta) for n in range(64)}
     assert baseline not in bins
 
 
 def test_normal_is_deterministic_in_all_arguments():
-    key = rng.stream_key(9, 3, 0.7)
-    assert rng.normal(key, 0) == rng.normal(key, 0)
-    assert rng.normal(key, 0) != rng.normal(key, 1)
-    assert rng.normal(key, 0) != rng.normal(key + 1, 0)
+    key = stream_key(9, 3, 0.7)
+    assert normal(key, 0) == normal(key, 0)
+    assert normal(key, 0) != normal(key, 1)
+    assert normal(key, 0) != normal(key + 1, 0)
 
 
 def test_normals_vector_matches_scalar():
-    key = rng.stream_key(13, 0, np.pi / 2)
+    key = stream_key(13, 0, np.pi / 2)
     counters = np.arange(100, dtype=np.uint64)
-    vec = rng.normals(key, counters)
-    scalars = np.array([rng.normal(key, int(c)) for c in counters])
+    vec = normals(key, counters)
+    scalars = np.array([normal(key, int(c)) for c in counters])
     assert np.allclose(vec, scalars, rtol=0, atol=5e-16)
 
 
 def test_normal_moments():
-    key = rng.stream_key(2024, 0, 1.0)
-    draws = rng.normals(key, np.arange(200_000, dtype=np.uint64))
+    key = stream_key(2024, 0, 1.0)
+    draws = normals(key, np.arange(200_000, dtype=np.uint64))
     se_mean = 1.0 / np.sqrt(draws.size)
     assert abs(draws.mean()) < 5 * se_mean
     assert abs(draws.std() - 1.0) < 5 * se_mean
@@ -143,11 +153,11 @@ def test_normal_moments():
 
 
 def test_normal_streams_are_uncorrelated():
-    k1 = rng.stream_key(1, 0, np.pi / 2)
-    k2 = rng.stream_key(1, 1, np.pi / 2)
+    k1 = stream_key(1, 0, np.pi / 2)
+    k2 = stream_key(1, 1, np.pi / 2)
     counters = np.arange(50_000, dtype=np.uint64)
-    a = rng.normals(k1, counters)
-    b = rng.normals(k2, counters)
+    a = normals(k1, counters)
+    b = normals(k2, counters)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 5 / np.sqrt(counters.size)
 
@@ -196,17 +206,17 @@ def test_normals_move_at_most_a_few_ulp_from_libm_cos():
     counters = np.arange(20_000, dtype=np.uint64)
     u1, _ = reference_uniforms(keys, counters)
     radius = np.sqrt(-2.0 * np.log(u1))
-    moved = np.abs(rng.normals(keys, counters) - libm_reference_normals(keys, counters))
+    moved = np.abs(normals(keys, counters) - libm_reference_normals(keys, counters))
     assert np.all(moved <= 2e-15 * radius)
     assert np.any(moved > 0)
 
 
 def test_scalar_normal_differs_from_vector_only_through_log():
-    key = rng.stream_key(17, 2, 0.4)
+    key = stream_key(17, 2, 0.4)
     counters = np.arange(2000, dtype=np.uint64)
-    vec = rng.normals(key, counters)
+    vec = normals(key, counters)
     u1, _ = reference_uniforms(np.array([key], dtype=np.uint64), counters)
     same_log = np.array([math.log(u) for u in u1.tolist()]) == np.log(u1)
-    scalars = np.array([rng.normal(key, int(c)) for c in counters])
+    scalars = np.array([normal(key, int(c)) for c in counters])
     assert same_log.mean() > 0.5
     assert np.array_equal(scalars[same_log], vec[same_log])

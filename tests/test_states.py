@@ -8,6 +8,7 @@ from qquench import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteInputError,
+    PostSelector,
     UnknownWaveformError,
     WAVEFORM_NAMES,
     ZeroVectorError,
@@ -101,13 +102,27 @@ def test_dft_selectors_are_orthogonal():
     grid = BasisGrid(size=8)
     a = dft_post_selector(grid, 1)
     b = dft_post_selector(grid, 5)
-    assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+    assert abs(np.vdot(a.overlaps, b.overlaps)) < 1e-12
 
 
 def test_dft_selector_k_zero_is_uniform():
     grid = BasisGrid(size=8)
     assert np.allclose(dft_post_selector(grid, 0).overlaps,
                        uniform_post_selector(grid).overlaps)
+
+
+def test_selector_label_defaults_from_its_overlaps():
+    grid = BasisGrid(size=8)
+    uniform = uniform_post_selector(grid)
+    assert PostSelector(grid, uniform.overlaps).label == "uniform"
+    assert PostSelector(grid, dft_post_selector(grid, 1).overlaps).label == "custom"
+    assert [dft_post_selector(grid, k).label for k in range(3)] == ["uniform", "dft:1", "dft:2"]
+
+
+def test_selector_label_uniform_needs_the_uniform_overlaps():
+    grid = BasisGrid(size=8)
+    with pytest.raises(ValueError, match="uniform"):
+        PostSelector(grid, dft_post_selector(grid, 1).overlaps, label="uniform")
 
 
 def test_dft_selector_rejects_out_of_range_k():
